@@ -34,15 +34,11 @@ from .model import (
 )
 from .montecarlo import (
     CltDiagnostics,
-    McEstimate,
     ThinningModel,
     clt_diagnostics,
     empirical_coverage,
     empirical_coverage_curves,
-    empirical_coverage_grid,
-    empirical_coverage_spatial,
     interference_samples,
-    sample_interference,
 )
 
 __version__ = "0.1.0"
@@ -75,14 +71,10 @@ __all__ = [
     "lattice_sites",
     "sinr",
     "CltDiagnostics",
-    "McEstimate",
     "ThinningModel",
     "clt_diagnostics",
     "empirical_coverage",
     "empirical_coverage_curves",
-    "empirical_coverage_grid",
-    "empirical_coverage_spatial",
     "interference_samples",
-    "sample_interference",
     "__version__",
 ]

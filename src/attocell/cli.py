@@ -35,6 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -56,64 +57,133 @@ class ConfigError(Exception):
     """Malformed run configuration; the message names the offending field."""
 
 
+# -- raw-value parsers: each raises ValueError naming the bad token ----------
+
+
+def _tokens(raw) -> list:
+    if isinstance(raw, (list, tuple)):
+        return list(raw)
+    return [tok.strip() for tok in str(raw).split(",") if tok.strip()]
+
+
+def _number(raw) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a number, got {raw!r}") from None
+
+
+def _integer(raw) -> int:
+    try:
+        if isinstance(raw, str):
+            return int(raw, 0)
+        if int(raw) != raw:
+            raise ValueError
+        return int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+
+
+def _numbers(raw) -> tuple[float, ...]:
+    return tuple(_number(tok) for tok in _tokens(raw))
+
+
+def _names(raw) -> tuple[str, ...]:
+    return tuple(str(tok) for tok in _tokens(raw))
+
+
+# -- value checks: each returns what is wrong, or None -----------------------
+
+
+def _finite(v) -> str | None:
+    return None if math.isfinite(v) else f"must be finite, got {v!r}"
+
+
+def _positive(v) -> str | None:
+    return None if math.isfinite(v) and v > 0 else f"must be > 0, got {v!r}"
+
+
+def _at_least(n: int):
+    return lambda v: None if v >= n else f"must be >= {n}, got {v!r}"
+
+
+def _each(ok, complaint: str):
+    """Check of a non-empty list whose every item passes ``ok``;
+    ``complaint`` formats the first item that does not."""
+
+    def check(values) -> str | None:
+        if not values:
+            return "must not be empty"
+        for v in values:
+            if not ok(v):
+                return complaint.format(v)
+        return None
+
+    return check
+
+
+def _setting(section: str, default, parse, *checks, flag: str | None = None):
+    """A RunConfig field: the config section holding it, the parser of its
+    raw value, the checks its value must pass and the argparse ``dest`` of
+    the flag that overrides it."""
+    return dataclasses.field(
+        default=default, metadata=dict(section=section, parse=parse, checks=checks, flag=flag)
+    )
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run configuration (defaults reproduce the reference
-    sweep: one curve per (p, height) pair with the analytic method)."""
+    sweep: one curve per (p, height) pair with the analytic method).
+
+    Every field but ``optical`` is a ``_setting``; ``optical`` is the
+    [optical] section, one key per ``OpticalConfig`` field, which checks
+    itself.
+    """
 
     optical: OpticalConfig = TABLE_DEFAULT_OPTICS
-    pitch: float = 0.5
-    heights: tuple[float, ...] = (1.5, 2.0, 2.5, 3.0)
-    trunc: int = 200
-    p_list: tuple[float, ...] = (0.3, 0.5, 0.8)
-    theta_db_start: float = -20.0
-    theta_db_stop: float = 10.0
-    theta_db_step: float = 0.25
-    methods: tuple[str, ...] = ("analytic",)
-    seed: int = 20250809
-    trials: int = 10000
-    quad_order: int = 32
-    mc_quad_order: int = 16
-    mc_trunc: int = 40
-    jobs: int = 1
-    out_dir: str = "attocell_out"
+    pitch: float = _setting("geometry", 0.5, _number, _positive)
+    heights: tuple[float, ...] = _setting(
+        "geometry",
+        (1.5, 2.0, 2.5, 3.0),
+        _numbers,
+        _each(lambda h: math.isfinite(h) and h > 0, "heights must be > 0, got {!r}"),
+        flag="heights",
+    )
+    trunc: int = _setting("geometry", 200, _integer, _at_least(1), flag="trunc")
+    p_list: tuple[float, ...] = _setting(
+        "thinning",
+        (0.3, 0.5, 0.8),
+        _numbers,
+        _each(lambda p: 0.0 <= p <= 1.0, "probabilities must be in [0, 1], got {!r}"),
+        flag="p",
+    )
+    theta_db_start: float = _setting("sweep", -20.0, _number, _finite)
+    theta_db_stop: float = _setting("sweep", 10.0, _number, _finite)
+    theta_db_step: float = _setting("sweep", 0.25, _number, _finite, _positive)
+    methods: tuple[str, ...] = _setting(
+        "sweep",
+        ("analytic",),
+        _names,
+        _each(lambda m: m in _METHODS, f"unknown method {{!r}} (choose from {_METHODS})"),
+        flag="methods",
+    )
+    seed: int = _setting("thinning", 20250809, _integer, _at_least(0), flag="seed")
+    trials: int = _setting("thinning", 10000, _integer, _at_least(1), flag="trials")
+    quad_order: int = _setting("sweep", 32, _integer, _at_least(1), flag="quad_order")
+    mc_quad_order: int = _setting("sweep", 16, _integer, _at_least(1), flag="mc_quad_order")
+    mc_trunc: int = _setting("thinning", 40, _integer, _at_least(1), flag="mc_trunc")
+    jobs: int = _setting("sweep", 1, _integer, _at_least(1), flag="jobs")
+    out_dir: str = _setting("output", "attocell_out", str, flag="out")
 
     def validate(self) -> None:
-        if not self.p_list:
-            raise ConfigError("thinning.p_list: must not be empty")
-        for p in self.p_list:
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"thinning.p_list: probabilities must be in [0, 1], got {p!r}")
-        if not self.heights:
-            raise ConfigError("geometry.heights: must not be empty")
-        for h in self.heights:
-            if not (math.isfinite(h) and h > 0):
-                raise ConfigError(f"geometry.heights: heights must be > 0, got {h!r}")
-        if not (math.isfinite(self.pitch) and self.pitch > 0):
-            raise ConfigError(f"geometry.pitch: must be > 0, got {self.pitch!r}")
-        if self.trunc < 1:
-            raise ConfigError(f"geometry.trunc: must be >= 1, got {self.trunc!r}")
-        if self.theta_db_step <= 0:
-            raise ConfigError(f"sweep.theta_db_step: must be > 0, got {self.theta_db_step!r}")
+        for f in _FIELDS:
+            for check in f.checks:
+                problem = check(f.get(self))
+                if problem:
+                    raise ConfigError(f"{f.section}.{f.key}: {problem}")
         if self.theta_db_stop < self.theta_db_start:
             raise ConfigError("sweep.theta_db_stop: must be >= theta_db_start")
-        for m in self.methods:
-            if m not in _METHODS:
-                raise ConfigError(f"sweep.methods: unknown method {m!r} (choose from {_METHODS})")
-        if not self.methods:
-            raise ConfigError("sweep.methods: must not be empty")
-        if self.seed < 0:
-            raise ConfigError(f"thinning.seed: must be >= 0, got {self.seed!r}")
-        if self.trials < 1:
-            raise ConfigError(f"thinning.trials: must be >= 1, got {self.trials!r}")
-        if self.quad_order < 1:
-            raise ConfigError(f"sweep.quad_order: must be >= 1, got {self.quad_order!r}")
-        if self.mc_quad_order < 1:
-            raise ConfigError(f"sweep.mc_quad_order: must be >= 1, got {self.mc_quad_order!r}")
-        if self.mc_trunc < 1:
-            raise ConfigError(f"thinning.mc_trunc: must be >= 1, got {self.mc_trunc!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"sweep.jobs: must be >= 1, got {self.jobs!r}")
 
     def theta_db_grid(self) -> np.ndarray:
         n = int(math.floor((self.theta_db_stop - self.theta_db_start) / self.theta_db_step + 1e-9)) + 1
@@ -124,54 +194,45 @@ class RunConfig:
 
     def as_sections(self) -> dict:
         """Nested dict mirroring the INI sections; feeds the manifest."""
-        return {
-            "optical": dataclasses.asdict(self.optical),
-            "geometry": {
-                "pitch": self.pitch,
-                "heights": list(self.heights),
-                "trunc": self.trunc,
-            },
-            "thinning": {
-                "p_list": list(self.p_list),
-                "seed": self.seed,
-                "trials": self.trials,
-                "mc_trunc": self.mc_trunc,
-            },
-            "sweep": {
-                "theta_db_start": self.theta_db_start,
-                "theta_db_stop": self.theta_db_stop,
-                "theta_db_step": self.theta_db_step,
-                "methods": list(self.methods),
-                "quad_order": self.quad_order,
-                "mc_quad_order": self.mc_quad_order,
-                "jobs": self.jobs,
-            },
-            "output": {"out_dir": self.out_dir},
-        }
+        sections: dict = {}
+        for f in _FIELDS:
+            value = f.get(self)
+            sections.setdefault(f.section, {})[f.key] = list(value) if isinstance(value, tuple) else value
+        return sections
 
 
-def _parse_float(section: str, key: str, raw) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
+@dataclass(frozen=True)
+class _Field:
+    """One row of the config field table."""
+
+    section: str
+    key: str
+    parse: Callable
+    checks: tuple = ()
+    flag: str | None = None
+
+    def get(self, cfg: RunConfig):
+        return getattr(cfg.optical if self.section == "optical" else cfg, self.key)
 
 
-def _parse_int(section: str, key: str, raw) -> int:
-    try:
-        if isinstance(raw, str):
-            return int(raw, 0)
-        if float(raw) != int(raw):
-            raise ValueError
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
+# The config field table: every INI/JSON key, in check order.
+_FIELDS = tuple(_Field("optical", f.name, _number) for f in dataclasses.fields(OpticalConfig)) + tuple(
+    _Field(key=f.name, **f.metadata) for f in dataclasses.fields(RunConfig) if f.metadata
+)
 
 
-def _parse_list(raw) -> list:
-    if isinstance(raw, (list, tuple)):
-        return list(raw)
-    return [tok.strip() for tok in str(raw).split(",") if tok.strip()]
+def _assign(cfg: RunConfig, values: dict) -> None:
+    """Set parsed ``{_Field: value}`` pairs on ``cfg``; the optical values
+    replace its OpticalConfig at once, which checks them."""
+    optical = {f.key: v for f, v in values.items() if f.section == "optical"}
+    if optical:
+        try:
+            cfg.optical = dataclasses.replace(cfg.optical, **optical)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    for f, v in values.items():
+        if f.section != "optical":
+            setattr(cfg, f.key, v)
 
 
 def _sections_from_ini(path: Path) -> dict:
@@ -198,15 +259,6 @@ def _sections_from_json(path: Path) -> dict:
     return data
 
 
-_KNOWN_KEYS = {
-    "optical": {"power", "pd_area", "responsivity", "half_angle", "noise_psd", "bandwidth"},
-    "geometry": {"pitch", "heights", "trunc"},
-    "thinning": {"p_list", "seed", "trials", "mc_trunc"},
-    "sweep": {"theta_db_start", "theta_db_stop", "theta_db_step", "methods", "quad_order", "mc_quad_order", "jobs"},
-    "output": {"out_dir"},
-}
-
-
 def load_config(path: str | None) -> RunConfig:
     """Build a RunConfig from an INI or JSON/manifest file (or defaults)."""
     cfg = RunConfig()
@@ -218,98 +270,41 @@ def load_config(path: str | None) -> RunConfig:
     head = p.read_text(encoding="utf-8", errors="replace").lstrip()
     sections = _sections_from_json(p) if head.startswith("{") else _sections_from_ini(p)
 
+    known = {(f.section, f.key) for f in _FIELDS}
     for section, keys in sections.items():
-        if section not in _KNOWN_KEYS:
+        if section not in {f.section for f in _FIELDS}:
             raise ConfigError(f"unknown config section [{section}]")
         if not isinstance(keys, dict):
             raise ConfigError(f"config section [{section}] must hold key = value pairs")
-        unknown = set(keys) - _KNOWN_KEYS[section]
+        unknown = sorted(k for k in keys if (section, k) not in known)
         if unknown:
-            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section [{section}]")
+            raise ConfigError(f"unknown key {unknown[0]!r} in section [{section}]")
 
-    opt = sections.get("optical", {})
-    optical_kwargs = {}
-    for key in _KNOWN_KEYS["optical"]:
-        if key in opt:
-            optical_kwargs[key] = _parse_float("optical", key, opt[key])
-    if optical_kwargs:
-        base = dataclasses.asdict(cfg.optical)
-        base.update(optical_kwargs)
-        try:
-            cfg.optical = OpticalConfig(**base)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    geo = sections.get("geometry", {})
-    if "pitch" in geo:
-        cfg.pitch = _parse_float("geometry", "pitch", geo["pitch"])
-    if "heights" in geo:
-        cfg.heights = tuple(
-            _parse_float("geometry", "heights", tok) for tok in _parse_list(geo["heights"])
-        )
-    if "trunc" in geo:
-        cfg.trunc = _parse_int("geometry", "trunc", geo["trunc"])
-
-    thin = sections.get("thinning", {})
-    if "p_list" in thin:
-        cfg.p_list = tuple(
-            _parse_float("thinning", "p_list", tok) for tok in _parse_list(thin["p_list"])
-        )
-    if "seed" in thin:
-        cfg.seed = _parse_int("thinning", "seed", thin["seed"])
-    if "trials" in thin:
-        cfg.trials = _parse_int("thinning", "trials", thin["trials"])
-    if "mc_trunc" in thin:
-        cfg.mc_trunc = _parse_int("thinning", "mc_trunc", thin["mc_trunc"])
-
-    sweep = sections.get("sweep", {})
-    for key in ("theta_db_start", "theta_db_stop", "theta_db_step"):
-        if key in sweep:
-            setattr(cfg, key, _parse_float("sweep", key, sweep[key]))
-    if "methods" in sweep:
-        cfg.methods = tuple(str(tok) for tok in _parse_list(sweep["methods"]))
-    if "quad_order" in sweep:
-        cfg.quad_order = _parse_int("sweep", "quad_order", sweep["quad_order"])
-    if "mc_quad_order" in sweep:
-        cfg.mc_quad_order = _parse_int("sweep", "mc_quad_order", sweep["mc_quad_order"])
-    if "jobs" in sweep:
-        cfg.jobs = _parse_int("sweep", "jobs", sweep["jobs"])
-
-    out = sections.get("output", {})
-    if "out_dir" in out:
-        cfg.out_dir = str(out["out_dir"])
+    values = {}
+    for f in _FIELDS:
+        keys = sections.get(f.section, {})
+        if f.key in keys:
+            try:
+                values[f] = f.parse(keys[f.key])
+            except ValueError as exc:
+                raise ConfigError(f"{f.section}.{f.key}: {exc}") from None
+    _assign(cfg, values)
     return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "quad_order", None) is not None:
-        cfg.quad_order = args.quad_order
-    if getattr(args, "mc_quad_order", None) is not None:
-        cfg.mc_quad_order = args.mc_quad_order
-    if getattr(args, "trunc", None) is not None:
-        cfg.trunc = args.trunc
-    if getattr(args, "mc_trunc", None) is not None:
-        cfg.mc_trunc = args.mc_trunc
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "methods", None) is not None:
-        cfg.methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
-    if getattr(args, "heights", None) is not None:
+    values = {}
+    for f in _FIELDS:
+        raw = getattr(args, f.flag, None) if f.flag else None
+        if raw is None:
+            continue
         try:
-            cfg.heights = tuple(float(tok) for tok in args.heights.split(",") if tok.strip())
+            values[f] = f.parse(raw)
         except ValueError:
-            raise ConfigError(f"--heights: expected comma-separated numbers, got {args.heights!r}")
-    if getattr(args, "p", None) is not None:
-        try:
-            cfg.p_list = tuple(float(tok) for tok in args.p.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"--p: expected comma-separated numbers, got {args.p!r}")
+            # argparse has already typed the integer flags, so only the
+            # number lists can fail here
+            raise ConfigError(f"--{f.flag}: expected comma-separated numbers, got {raw!r}") from None
+    _assign(cfg, values)
 
 
 def _fmt(x: float) -> str:

@@ -65,6 +65,31 @@ def linear_to_db(theta_linear):
     return 10.0 * np.log10(np.asarray(theta_linear, dtype=float))
 
 
+def _eta_grid(
+    optical: OpticalConfig,
+    geometry: NetworkGeometry,
+    zx,
+    zy,
+    theta_linear,
+    consts: DerivedConstants | None = None,
+) -> np.ndarray:
+    """eta at every (threshold, node) pair, shape (len(theta_linear),
+    len(zx)): the signal over theta, less the noise floor."""
+    theta = np.atleast_1d(np.asarray(theta_linear, dtype=float))
+    bad = theta[~(np.isfinite(theta) & (theta > 0.0))]
+    if bad.size:
+        raise ValueError(f"theta must be finite and > 0, got {float(bad[0])!r}")
+    if consts is None:
+        consts = DerivedConstants.from_configs(optical, geometry)
+    zx = np.atleast_1d(np.asarray(zx, dtype=float))
+    zy = np.atleast_1d(np.asarray(zy, dtype=float))
+    signal = (zx * zx + zy * zy + geometry.height**2) ** (-consts.beta)
+    noise = consts.noise_var / (
+        consts.gain_const**2 * optical.power**2 * optical.responsivity**2
+    )
+    return signal[None, :] / theta[:, None] - noise
+
+
 def eta(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
@@ -74,52 +99,27 @@ def eta(
 ) -> float:
     """Interference threshold eta(z, theta); may be negative once noise
     alone pushes the SINR below theta."""
-    t = float(theta_linear)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"theta must be finite and > 0, got {theta_linear!r}")
-    if consts is None:
-        consts = DerivedConstants.from_configs(optical, geometry)
     zx, zy = position_xy(pos)
-    h = geometry.height
-    signal = (zx * zx + zy * zy + h * h) ** (-consts.beta)
-    noise = consts.noise_var / (
-        consts.gain_const**2 * optical.power**2 * optical.responsivity**2
-    )
-    return signal / t - noise
+    return float(_eta_grid(optical, geometry, zx, zy, theta_linear, consts)[0, 0])
 
 
-def _noise_term(optical: OpticalConfig, consts: DerivedConstants) -> float:
-    return consts.noise_var / (
-        consts.gain_const**2 * optical.power**2 * optical.responsivity**2
-    )
-
-
-def conditional_coverage(eta_value: float, mu: float, sigma1: float) -> float:
+def conditional_coverage(eta_value, mu, sigma1):
     """Gaussian mass of the interference on [0, eta], clamped to [0, 1].
 
-    sigma1 = 0 is the degenerate (deterministic interference) case and
-    returns the indicator of mu < eta_value.
+    Accepts floats, which give a float, or arrays that broadcast together.
+    sigma1 = 0 everywhere is the degenerate (deterministic interference)
+    case and gives the indicator of mu < eta_value.
     """
-    if sigma1 < 0.0 or mu < 0.0:
+    mu = np.asarray(mu, dtype=float)
+    sigma1 = np.asarray(sigma1, dtype=float)
+    if np.any(sigma1 < 0.0) or np.any(mu < 0.0):
         raise ValueError("mu and sigma1 must be >= 0")
-    if sigma1 == 0.0:
-        return 1.0 if mu < eta_value else 0.0
-    value = 0.5 * (
-        specfun.erf((eta_value - mu) / (_SQRT2 * sigma1))
-        + specfun.erf(mu / (_SQRT2 * sigma1))
-    )
-    return min(1.0, max(0.0, value))
-
-
-def _gaussian_mass(eta_values: np.ndarray, mu: np.ndarray, sigma1: np.ndarray) -> np.ndarray:
-    """Vectorized conditional coverage for sigma1 > 0 everywhere, or the
-    indicator path when sigma1 == 0 everywhere (p in {0, 1})."""
     if np.all(sigma1 == 0.0):
-        return (mu < eta_values).astype(float)
-    arg = specfun.erf((eta_values - mu) / (_SQRT2 * sigma1)) + specfun.erf(
-        mu / (_SQRT2 * sigma1)
-    )
-    return np.clip(0.5 * arg, 0.0, 1.0)
+        value = np.asarray(mu < eta_value, dtype=float)
+    else:
+        scale = _SQRT2 * sigma1
+        value = np.clip(0.5 * (specfun.erf((eta_value - mu) / scale) + specfun.erf(mu / scale)), 0.0, 1.0)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,8 @@ def _node_moment_sums(
     trunc: int | None,
 ):
     if sums == "series":
-        s_m = np.asarray(_series_value(geometry, beta, zx, zy, jl, False), dtype=float)
-        s_v = np.asarray(_series_value(geometry, 2.0 * beta, zx, zy, jl, False), dtype=float)
+        s_m = np.asarray(_series_value(geometry, beta, zx, zy, jl), dtype=float)
+        s_v = np.asarray(_series_value(geometry, 2.0 * beta, zx, zy, jl), dtype=float)
     elif sums == "brute":
         s_m = np.array([sm_brute(geometry, beta, (x, y), trunc).value for x, y in zip(zx, zy)])
         s_v = np.array([sv_brute(geometry, beta, (x, y), trunc).value for x, y in zip(zx, zy)])
@@ -234,7 +234,7 @@ def _spatial_values(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
     p: float,
-    theta_linear: np.ndarray,
+    theta_linear,
     quad_order: int,
     sums: str,
     use_symmetry: bool,
@@ -247,13 +247,11 @@ def _spatial_values(
         # swap symmetry requires a square mode window
         use_symmetry = False
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
+    eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
     s_m, s_v = _node_moment_sums(geometry, consts.beta, zx, zy, sums, jl, trunc)
     mu = p * s_m
     sigma1 = np.sqrt(p * (1.0 - p) * s_v)
-    signal = (zx * zx + zy * zy + geometry.height**2) ** (-consts.beta)
-    noise = _noise_term(optical, consts)
-    eta_grid = signal[None, :] / theta_linear[:, None] - noise
-    mass = _gaussian_mass(eta_grid, mu[None, :], sigma1[None, :])
+    mass = conditional_coverage(eta_grid, mu[None, :], sigma1[None, :])
     return np.clip(mass @ wq, 0.0, 1.0)
 
 
@@ -269,11 +267,8 @@ def coverage_spatial(
     trunc: int | None = None,
 ) -> float:
     """Coverage probability averaged over the attocell at one threshold."""
-    t = float(theta_linear)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"theta must be finite and > 0, got {theta_linear!r}")
     values = _spatial_values(
-        optical, geometry, p, np.array([t]), quad_order, sums, use_symmetry, jl, trunc
+        optical, geometry, p, float(theta_linear), quad_order, sums, use_symmetry, jl, trunc
     )
     return float(values[0])
 

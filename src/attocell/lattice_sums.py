@@ -32,8 +32,8 @@ Two evaluators are provided:
   (0, f) have just two images and enter with weight 1/2.  Brute-force
   comparison confirms the halved axis weight to ~1e-10 relative, while a
   uniform weight of 1 misses by ~1e-5 (S_m) to ~6e-4 (S_v) at h/a = 3; see
-  VALIDATION.md.  ``uniform_mode_weights=True`` reproduces the uniform
-  variant for diagnostics.
+  VALIDATION.md.  ``series_mode_terms`` reports each mode's uniform-weight
+  value next to the weighted contribution, for diagnostics.
 
 With the default truncation j = l = 1 the series uses exactly three modes,
 (0,1), (1,0), (1,1), which already lands within ~1e-10 of the brute force
@@ -142,26 +142,17 @@ def sv_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = No
     return sm_brute(geometry, 2.0 * _check_exponent(beta), pos, trunc)
 
 
-def _mode_weight(w: int, f: int, uniform: bool) -> float:
-    if uniform:
-        return 1.0
-    return 0.5 if (w == 0 or f == 0) else 1.0
+def _integral_term(geometry: NetworkGeometry, e: float) -> float:
+    a = geometry.pitch
+    return math.pi * geometry.height ** (2.0 - 2.0 * e) / (a * a * (e - 1.0))
 
 
-def _series_value(
-    geometry: NetworkGeometry,
-    exponent: float,
-    zx,
-    zy,
-    jl: tuple[int, int],
-    uniform_mode_weights: bool,
-):
-    """Closed-form series; zx, zy may be scalars or equal-shape arrays."""
-    e = float(exponent)
+def _dual_modes(geometry: NetworkGeometry, e: float, zx, zy, jl: tuple[int, int]):
+    """Yield (w, f, weight, g(w, f)) for every dual mode in the window, with
+    g as in the module docstring (scalar or array, following zx and zy) and
+    weight its image multiplicity relative to an interior mode."""
     a = geometry.pitch
     h = geometry.height
-    z2 = zx * zx + zy * zy
-    value = math.pi * h ** (2.0 - 2.0 * e) / (a * a * (e - 1.0)) - (z2 + h * h) ** (-e)
     gamma_e = gamma(e)
     for w in range(jl[0] + 1):
         for f in range(jl[1] + 1):
@@ -175,10 +166,20 @@ def _series_value(
                 * gamma_e
                 / math.pi
             )
-            weight = _mode_weight(w, f, uniform_mode_weights)
-            value = value + weight * radial * np.cos(2.0 * math.pi * w * zx / a) * np.cos(
+            weight = 0.5 if (w == 0 or f == 0) else 1.0
+            yield w, f, weight, radial * np.cos(2.0 * math.pi * w * zx / a) * np.cos(
                 2.0 * math.pi * f * zy / a
             )
+
+
+def _series_value(geometry: NetworkGeometry, exponent: float, zx, zy, jl: tuple[int, int]):
+    """Closed-form series; zx, zy may be scalars or equal-shape arrays."""
+    e = float(exponent)
+    h = geometry.height
+    z2 = zx * zx + zy * zy
+    value = _integral_term(geometry, e) - (z2 + h * h) ** (-e)
+    for _, _, weight, g in _dual_modes(geometry, e, zx, zy, jl):
+        value = value + weight * g
     return value
 
 
@@ -194,7 +195,6 @@ def sm_series(
     beta: float,
     pos,
     jl: tuple[int, int] = (1, 1),
-    uniform_mode_weights: bool = False,
 ) -> SumResult:
     """Mean sum S_m by the dual-lattice closed form.
 
@@ -206,7 +206,7 @@ def sm_series(
     j, l = _check_jl(jl)
     zx, zy = position_xy(pos)
     return SumResult(
-        value=float(_series_value(geometry, e, zx, zy, (j, l), uniform_mode_weights)),
+        value=float(_series_value(geometry, e, zx, zy, (j, l))),
         method=SumMethod.SERIES,
         terms_used=(j + 1) * (l + 1) - 1,
     )
@@ -217,10 +217,9 @@ def sv_series(
     beta: float,
     pos,
     jl: tuple[int, int] = (1, 1),
-    uniform_mode_weights: bool = False,
 ) -> SumResult:
     """Variance sum S_v: the ``sm_series`` closed form at exponent 2 beta."""
-    return sm_series(geometry, 2.0 * _check_exponent(beta), pos, jl, uniform_mode_weights)
+    return sm_series(geometry, 2.0 * _check_exponent(beta), pos, jl)
 
 
 def series_mode_terms(
@@ -236,47 +235,19 @@ def series_mode_terms(
     have contributed, and the weighted contribution actually used.
     """
     e = _check_exponent(exponent)
-    j, l = _check_jl(jl)
     zx, zy = position_xy(pos)
-    a = geometry.pitch
     h = geometry.height
     rows = [
-        {
-            "term": "integral",
-            "weight": 1.0,
-            "contribution": math.pi * h ** (2.0 - 2.0 * e) / (a * a * (e - 1.0)),
-        },
-        {
-            "term": "self",
-            "weight": 1.0,
-            "contribution": -((zx * zx + zy * zy + h * h) ** (-e)),
-        },
+        {"term": "integral", "weight": 1.0, "contribution": _integral_term(geometry, e)},
+        {"term": "self", "weight": 1.0, "contribution": -((zx * zx + zy * zy + h * h) ** (-e))},
     ]
-    gamma_e = gamma(e)
-    for w in range(j + 1):
-        for f in range(l + 1):
-            if w == 0 and f == 0:
-                continue
-            rho = math.hypot(w, f)
-            raw = (
-                bessel_k(e - 1.0, 2.0 * math.pi * h * rho / a)
-                * math.cos(2.0 * math.pi * w * zx / a)
-                * math.cos(2.0 * math.pi * f * zy / a)
-                / (
-                    (h / (2.0 * math.pi * rho)) ** (e - 1.0)
-                    * 2.0 ** (e - 4.0)
-                    * a ** (e + 1.0)
-                    * gamma_e
-                    / math.pi
-                )
-            )
-            weight = _mode_weight(w, f, False)
-            rows.append(
-                {
-                    "term": f"mode({w},{f})",
-                    "weight": weight,
-                    "uniform_value": raw,
-                    "contribution": weight * raw,
-                }
-            )
+    for w, f, weight, g in _dual_modes(geometry, e, zx, zy, _check_jl(jl)):
+        rows.append(
+            {
+                "term": f"mode({w},{f})",
+                "weight": weight,
+                "uniform_value": float(g),
+                "contribution": float(weight * g),
+            }
+        )
     return rows

@@ -13,9 +13,10 @@ All randomness comes from counter-based Philox streams derived as
 
     stream(seed, *path) = Philox(SeedSequence([seed, *path]))
 
-Pointwise estimators consume ``stream(seed)``; the spatial estimators give
-quadrature node ``i`` its own ``stream(seed, i)``, so node workers can run
-in any order (or in parallel) and still produce bit-identical results.
+``interference_samples`` and the pointwise ``empirical_coverage`` consume
+``stream(seed)`` unless handed a generator; ``empirical_coverage_curves``
+gives quadrature node ``i`` its own ``stream(seed, i)``, so node workers can
+run in any order (or in parallel) and still produce bit-identical results.
 Within a stream, trials are consumed in fixed row-major blocks; the block
 size does not change the sequence.  Uniform variates are drawn as float32
 (granularity 2^-24, a negligible Bernoulli bias) and one uniform per site
@@ -37,32 +38,30 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import specfun
-from .coverage import attocell_quadrature, eta as eta_at
+from .coverage import _check_p, _eta_grid, attocell_quadrature, db_to_linear
 from .lattice_sums import sm_brute, sv_brute
 from .model import (
     DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
     interferer_distance_sq,
+    position_xy,
     tail_bound,
 )
 
 __all__ = [
     "ThinningModel",
-    "McEstimate",
     "CltDiagnostics",
     "substream",
     "interference_weights",
-    "sample_interference",
     "interference_samples",
     "empirical_coverage",
-    "empirical_coverage_grid",
-    "empirical_coverage_spatial",
     "empirical_coverage_curves",
     "clt_diagnostics",
 ]
@@ -83,23 +82,11 @@ class ThinningModel:
     trunc: int | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"thinning probability must be in [0, 1], got {self.p!r}")
+        _check_p(self.p)
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.trunc is not None and (int(self.trunc) != self.trunc or self.trunc < 1):
             raise ValueError(f"trunc must be an integer >= 1, got {self.trunc!r}")
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """A coverage estimate: sample mean, binomial standard error, and the
-    (trials, seed) pair that reproduces it."""
-
-    mean: float
-    stderr: float
-    trials: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -152,27 +139,6 @@ def _thinned_sums(u: np.ndarray, p32: np.float32, w_int: np.ndarray, shift: int)
     return np.ldexp(np.asarray(u < p32, dtype=float) @ w_int, -shift)
 
 
-def sample_interference(
-    model: ThinningModel,
-    geometry: NetworkGeometry,
-    beta: float,
-    pos,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """One realization of C over the truncated lattice.
-
-    Passing an explicit generator continues its stream; otherwise the draw
-    is the first trial of ``substream(model.seed)``.
-    """
-    if rng is None:
-        rng = substream(model.seed)
-    w_int, shift = _fixed_point_weights(
-        interference_weights(geometry, beta, pos, _effective_trunc(model, geometry))
-    )
-    u = rng.random(w_int.size, dtype=np.float32)
-    return float(_thinned_sums(u, np.float32(model.p), w_int, shift))
-
-
 def interference_samples(
     model: ThinningModel,
     geometry: NetworkGeometry,
@@ -213,32 +179,18 @@ def empirical_coverage(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
     pos,
-    theta_linear: float,
-    trials: int,
-) -> McEstimate:
-    """Fraction of realizations with C < eta(z, theta); deterministic for a
-    fixed (model, config)."""
-    means, stderrs = empirical_coverage_grid(
-        model, optical, geometry, pos, np.array([float(theta_linear)]), trials
-    )
-    return McEstimate(mean=float(means[0]), stderr=float(stderrs[0]), trials=int(trials), seed=model.seed)
-
-
-def empirical_coverage_grid(
-    model: ThinningModel,
-    optical: OpticalConfig,
-    geometry: NetworkGeometry,
-    pos,
-    theta_linear_grid,
+    theta_linear,
     trials: int,
 ):
-    """Empirical coverage across a threshold grid from one common sample
-    set (common random numbers), so the result is exactly nonincreasing in
-    theta.  Returns (means, stderrs) arrays."""
-    theta = np.atleast_1d(np.asarray(theta_linear_grid, dtype=float))
+    """Fraction of realizations with C < eta(z, theta) at one position,
+    across a threshold grid (or one threshold), with binomial standard
+    errors.  Every threshold shares one sample set (common random numbers),
+    so the result is exactly nonincreasing in theta and deterministic for a
+    fixed (model, config).  Returns (means, stderrs) arrays."""
     consts = DerivedConstants.from_configs(optical, geometry)
-    etas = np.array([eta_at(optical, geometry, pos, t, consts) for t in theta])
-    samples = interference_samples(model, geometry, consts.beta, pos, trials)
+    zx, zy = position_xy(pos)
+    etas = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)[:, 0]
+    samples = interference_samples(model, geometry, consts.beta, (zx, zy), trials)
     counts = _count_below(samples, etas)
     means = counts / float(trials)
     stderrs = np.sqrt(means * (1.0 - means) / float(trials))
@@ -246,26 +198,24 @@ def empirical_coverage_grid(
 
 
 def _node_counts(
-    seed: int,
-    node_index: int,
-    pitch: float,
-    height: float,
-    trunc: int,
+    geometry: NetworkGeometry,
     beta: float,
-    zx: float,
-    zy: float,
-    eta_row: np.ndarray,
     p_list: tuple[float, ...],
     trials: int,
     block: int,
+    seed: int,
+    node_index: int,
+    zx: float,
+    zy: float,
+    eta_row: np.ndarray,
 ) -> np.ndarray:
-    """Coverage counts (len(p_list), len(eta_row)) for one quadrature node.
+    """Coverage counts (len(p_list), len(eta_row)) for one quadrature node,
+    sampling the lattice truncated at ``geometry.trunc``.
 
     One float32 uniform per (trial, site) is shared across the whole p
     grid (common random numbers); C is summed from fixed-point weights.
     """
-    geometry = NetworkGeometry(pitch=pitch, height=height, trunc=trunc)
-    w_int, shift = _fixed_point_weights(interference_weights(geometry, beta, (zx, zy), trunc))
+    w_int, shift = _fixed_point_weights(interference_weights(geometry, beta, (zx, zy)))
     rng = substream(seed, node_index)
     counts = np.zeros((len(p_list), eta_row.size), dtype=np.int64)
     done = 0
@@ -277,91 +227,6 @@ def _node_counts(
             counts[k] += (c[:, None] < eta_row[None, :]).sum(axis=0)
         done += b
     return counts
-
-
-def _node_counts_star(args):
-    return _node_counts(*args)
-
-
-def _spatial_counts(
-    optical: OpticalConfig,
-    geometry: NetworkGeometry,
-    p_list: tuple[float, ...],
-    theta_linear: np.ndarray,
-    seed: int,
-    trials_per_node: int,
-    quad_order: int,
-    trunc: int,
-    n_jobs: int,
-    block: int,
-    use_symmetry: bool,
-):
-    """Per-node coverage counts for all (p, theta); nodes may be evaluated
-    in parallel, with results identical to the serial order."""
-    consts = DerivedConstants.from_configs(optical, geometry)
-    zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
-    noise = consts.noise_var / (
-        consts.gain_const**2 * optical.power**2 * optical.responsivity**2
-    )
-    h = geometry.height
-    args = [
-        (
-            seed,
-            i,
-            geometry.pitch,
-            h,
-            trunc,
-            consts.beta,
-            float(zx[i]),
-            float(zy[i]),
-            (zx[i] * zx[i] + zy[i] * zy[i] + h * h) ** (-consts.beta) / theta_linear - noise,
-            p_list,
-            trials_per_node,
-            block,
-        )
-        for i in range(zx.size)
-    ]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            counts = list(pool.map(_node_counts_star, args, chunksize=1))
-    else:
-        counts = [_node_counts(*a) for a in args]
-    return np.stack(counts), wq
-
-
-def empirical_coverage_spatial(
-    model: ThinningModel,
-    optical: OpticalConfig,
-    geometry: NetworkGeometry,
-    theta_linear: float,
-    trials_per_node: int,
-    quad_order: int = 16,
-    n_jobs: int = 1,
-    block: int = _DEFAULT_BLOCK,
-    use_symmetry: bool = False,
-) -> McEstimate:
-    """Quadrature-weighted average of the empirical coverage over the
-    attocell; node i draws from ``substream(seed, i)``."""
-    means, stderrs, _ = empirical_coverage_curves(
-        optical,
-        geometry,
-        (model.p,),
-        theta_db=None,
-        theta_linear=np.array([float(theta_linear)]),
-        seed=model.seed,
-        trials_per_node=trials_per_node,
-        quad_order=quad_order,
-        trunc=model.trunc,
-        n_jobs=n_jobs,
-        block=block,
-        use_symmetry=use_symmetry,
-    )
-    return McEstimate(
-        mean=float(means[0, 0]),
-        stderr=float(stderrs[0, 0]),
-        trials=int(trials_per_node),
-        seed=model.seed,
-    )
 
 
 def empirical_coverage_curves(
@@ -380,44 +245,40 @@ def empirical_coverage_curves(
 ):
     """Spatially averaged empirical coverage over (p, theta) grids.
 
-    All p values share every uniform draw and all thresholds share every
-    realization, so comparisons across the grids are coupled.  Returns
-    (means, stderrs, tail) where means/stderrs have shape
+    Node i of the quadrature draws from ``substream(seed, i)``; nodes run in
+    up to ``n_jobs`` worker processes with results identical to the serial
+    order.  All p values share every uniform draw and all thresholds share
+    every realization, so comparisons across the grids are coupled.
+    Returns (means, stderrs, tail) where means/stderrs have shape
     (len(p_list), len(theta)) and tail bounds the interference mass omitted
     by the sampling truncation.
     """
     if (theta_db is None) == (theta_linear is None):
         raise ValueError("provide exactly one of theta_db, theta_linear")
     if theta_linear is None:
-        theta_linear = 10.0 ** (np.atleast_1d(np.asarray(theta_db, dtype=float)) / 10.0)
-    theta_linear = np.atleast_1d(np.asarray(theta_linear, dtype=float))
-    p_list = tuple(float(p) for p in p_list)
-    for p in p_list:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"thinning probability must be in [0, 1], got {p!r}")
+        theta_linear = db_to_linear(np.atleast_1d(theta_db))
+    p_list = tuple(_check_p(p) for p in p_list)
     trials_per_node = int(trials_per_node)
     if trials_per_node < 1:
         raise ValueError(f"trials_per_node must be >= 1, got {trials_per_node!r}")
-    t = geometry.trunc if trunc is None else int(trunc)
+    sampled = geometry if trunc is None else replace(geometry, trunc=int(trunc))
     consts = DerivedConstants.from_configs(optical, geometry)
-    counts, wq = _spatial_counts(
-        optical,
-        geometry,
-        p_list,
-        theta_linear,
-        int(seed),
-        trials_per_node,
-        quad_order,
-        t,
-        int(n_jobs),
-        int(block),
-        use_symmetry,
+    zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
+    etas = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
+    node = partial(
+        _node_counts, sampled, consts.beta, p_list, trials_per_node, int(block), int(seed)
     )
-    phat = counts / float(trials_per_node)  # (nodes, p, theta)
+    columns = (range(zx.size), zx.tolist(), zy.tolist(), list(etas.T))
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(int(n_jobs), zx.size)) as pool:
+            counts = list(pool.map(node, *columns, chunksize=1))
+    else:
+        counts = list(map(node, *columns))
+    phat = np.stack(counts) / float(trials_per_node)  # (nodes, p, theta)
     # quadrature weights sum to 1 only up to roundoff, so clip the average
     means = np.clip(np.einsum("i,ipt->pt", wq, phat), 0.0, 1.0)
     var = np.einsum("i,ipt->pt", wq**2, phat * (1.0 - phat)) / float(trials_per_node)
-    return means, np.sqrt(var), tail_bound(geometry, consts.beta, t)
+    return means, np.sqrt(var), tail_bound(geometry, consts.beta, sampled.trunc)
 
 
 def _ks_statistic_normal(standardized: np.ndarray) -> float:

@@ -31,30 +31,14 @@ _ERF_SATURATION = 5.8646
 _ERF_MAX_TERMS = 700
 
 
-def _erf_scalar(x: float) -> float:
-    ax = abs(x)
-    if ax >= _ERF_SATURATION:
-        return math.copysign(1.0, x)
-    # All-positive-term expansion erf(x) = (2x/sqrt(pi)) e^{-x^2}
-    # sum_k (2x^2)^k / (1*3*...*(2k+1)); free of cancellation for any x.
-    t = 2.0 * ax * ax
-    term = 1.0
-    total = 1.0
-    for k in range(1, _ERF_MAX_TERMS):
-        term *= t / (2 * k + 1)
-        total += term
-        if term < total * 1e-18:
-            break
-    val = _TWO_OVER_SQRT_PI * ax * math.exp(-ax * ax) * total
-    return math.copysign(min(val, 1.0), x)
-
-
 def _erf_array(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     out = np.where(ax >= _ERF_SATURATION, 1.0, 0.0)
     small = ax < _ERF_SATURATION
     if np.any(small):
         a = ax[small]
+        # All-positive-term expansion erf(x) = (2x/sqrt(pi)) e^{-x^2}
+        # sum_k (2x^2)^k / (1*3*...*(2k+1)); free of cancellation for any x.
         t = 2.0 * a * a
         term = np.ones_like(t)
         total = np.ones_like(t)
@@ -74,15 +58,12 @@ def erf(x):
     with |erf(x)| < 1 for finite x; saturates to +-1.0 once the complement is
     below double precision.  Non-finite input raises ``ValueError``.
     """
-    if isinstance(x, np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("erf: non-finite input")
-        return _erf_array(x)
-    x = float(x)
-    if not math.isfinite(x):
+    scalar = not isinstance(x, np.ndarray)
+    values = np.array([float(x)]) if scalar else np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(values)):
         raise ValueError("erf: non-finite input")
-    return _erf_scalar(x)
+    out = _erf_array(values)
+    return float(out[0]) if scalar else out
 
 
 # Lanczos approximation, g = 7, 9 terms (Godfrey's coefficients).  Relative

@@ -1,5 +1,6 @@
 """Configuration parsing, CSV/manifest emission and exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from attocell.cli import (
     load_config,
     main,
 )
+from attocell.model import OpticalConfig
 
 TINY_INI = """\
 [geometry]
@@ -77,11 +79,14 @@ class TestRunConfig:
             ("trials", 0),
             ("quad_order", 0),
             ("mc_trunc", 0),
+            ("theta_db_step", math.nan),
+            ("theta_db_start", -math.inf),
+            ("theta_db_stop", math.nan),
         ],
     )
     def test_validation_rejects(self, field, value):
         cfg = RunConfig(**{field: value})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             cfg.validate()
 
 
@@ -117,6 +122,49 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "nope.ini"))
+
+    def test_every_field_round_trips(self, tmp_path):
+        # one non-default value per field, through the manifest sections and
+        # through an INI file
+        cfg = RunConfig(
+            optical=OpticalConfig(
+                power=2.0, pd_area=2e-4, responsivity=0.3,
+                half_angle=1.0, noise_psd=1e-20, bandwidth=2e7,
+            ),
+            pitch=0.4,
+            heights=(1.25, 2.75),
+            trunc=60,
+            p_list=(0.2, 0.9),
+            theta_db_start=-12.5,
+            theta_db_stop=4.0,
+            theta_db_step=0.5,
+            methods=("brute", "montecarlo"),
+            seed=77,
+            trials=300,
+            quad_order=12,
+            mc_quad_order=6,
+            mc_trunc=15,
+            jobs=3,
+            out_dir=str(tmp_path / "elsewhere"),
+        )
+        default = RunConfig()
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        for name in dataclasses.asdict(cfg.optical):
+            assert getattr(cfg.optical, name) != getattr(default.optical, name), name
+
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"version": "x", "config": cfg.as_sections()}))
+        assert load_config(str(manifest)) == cfg
+
+        lines = []
+        for section, keys in cfg.as_sections().items():
+            lines.append(f"[{section}]")
+            for key, v in keys.items():
+                lines.append(f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}")
+        ini = tmp_path / "run.ini"
+        ini.write_text("\n".join(lines) + "\n")
+        assert load_config(str(ini)) == cfg
 
     def test_json_config(self, tmp_path):
         path = tmp_path / "run.json"

@@ -21,7 +21,6 @@ from attocell import (
     linear_to_db,
     threshold_at_level,
 )
-from attocell.coverage import _gaussian_mass
 from attocell.specfun import erf
 
 # eta at the attocell centre for the reference optics, h = 1.5, theta = 1:
@@ -86,17 +85,20 @@ class TestConditionalCoverage:
             conditional_coverage(0.1, -0.1, 0.05)
         with pytest.raises(ValueError):
             conditional_coverage(0.1, 0.1, -0.05)
+        with pytest.raises(ValueError):
+            conditional_coverage(np.array([0.1, 0.2]), np.array([0.1, -0.1]), np.array([0.05, 0.05]))
 
     def test_unit_interval_fuzz(self, rng):
-        # million-triple fuzz of the vectorized kernel plus a scalar subset
+        # million-triple fuzz on arrays plus a scalar subset, which must
+        # agree with the array values
         etas = rng.uniform(-5.0, 5.0, 1_000_000)
         mus = rng.uniform(0.0, 3.0, 1_000_000)
         sigmas = rng.uniform(1e-12, 2.0, 1_000_000)
-        out = _gaussian_mass(etas, mus, sigmas)
+        out = conditional_coverage(etas, mus, sigmas)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
-        for e, m, s in zip(etas[:3000], mus[:3000], sigmas[:3000]):
+        for e, m, s, want in zip(etas[:3000], mus[:3000], sigmas[:3000], out[:3000]):
             v = conditional_coverage(float(e), float(m), float(s))
-            assert 0.0 <= v <= 1.0
+            assert isinstance(v, float) and v == want
 
 
 class TestCoverageAt:

@@ -100,7 +100,9 @@ class TestSeries:
         # overshoots measurably; the halved axis weight is what matches
         b = sv_brute(geometry, 4.0, (0.0, 0.0)).value
         corrected = sv_series(geometry, 4.0, (0.0, 0.0)).value
-        uniform = sv_series(geometry, 4.0, (0.0, 0.0), uniform_mode_weights=True).value
+        rows = series_mode_terms(geometry, 8.0, (0.0, 0.0))
+        uniform = sum(r.get("uniform_value", r["contribution"]) for r in rows)
+        assert sum(r["contribution"] for r in rows) == pytest.approx(corrected, rel=1e-14)
         assert abs(corrected - b) / b < 1e-8
         assert abs(uniform - b) / b > 1e-4
         assert uniform > corrected

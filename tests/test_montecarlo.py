@@ -14,14 +14,12 @@ from attocell import (
     db_to_linear,
     empirical_coverage,
     empirical_coverage_curves,
-    empirical_coverage_grid,
-    empirical_coverage_spatial,
     eta,
     interference_samples,
-    sample_interference,
     sm_brute,
     sv_brute,
 )
+import attocell.montecarlo
 from attocell.coverage import attocell_quadrature
 from attocell.montecarlo import _node_counts, interference_weights, substream
 
@@ -57,7 +55,7 @@ class TestSampling:
 
     def test_p_one_equals_brute_force(self, small_geometry):
         model = ThinningModel(p=1.0, seed=11)
-        got = sample_interference(model, small_geometry, BETA, (0.0, 0.0))
+        got = interference_samples(model, small_geometry, BETA, (0.0, 0.0), 1)[0]
         want = sm_brute(small_geometry, BETA, (0.0, 0.0)).value
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -115,14 +113,14 @@ class TestEmpiricalCoverage:
         model = ThinningModel(p=0.5, seed=77)
         a = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), 0.2213, 2000)
         b = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), 0.2213, 2000)
-        assert a == b
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_limits(self, optics, small_geometry):
         model = ThinningModel(p=0.5, seed=77)
-        lo = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), 1e-9, 500)
-        assert lo.mean == 1.0 and lo.stderr == 0.0
-        hi = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), 1e9, 500)
-        assert hi.mean == 0.0
+        means, stderrs = empirical_coverage(
+            model, optics, small_geometry, (0.0, 0.0), [1e-9, 1e9], 500
+        )
+        assert means.tolist() == [1.0, 0.0] and stderrs.tolist() == [0.0, 0.0]
 
     def test_p_one_deterministic_indicator(self, optics, small_geometry):
         model = ThinningModel(p=1.0, seed=3)
@@ -130,44 +128,43 @@ class TestEmpiricalCoverage:
         # theta chosen so S_m < eta: covered with certainty
         t = float(db_to_linear(-12.0))
         assert eta(optics, small_geometry, (0.0, 0.0), t) > total
-        est = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), t, 200)
-        assert est.mean == 1.0
+        means, _ = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), t, 200)
+        assert means.tolist() == [1.0]
 
     def test_grid_monotone_under_common_randomness(self, optics, small_geometry):
         model = ThinningModel(p=0.5, seed=13)
         thetas = db_to_linear(np.arange(-15.0, 5.0, 0.5))
-        means, _ = empirical_coverage_grid(
-            model, optics, small_geometry, (0.1, 0.05), thetas, 4000
-        )
+        means, _ = empirical_coverage(model, optics, small_geometry, (0.1, 0.05), thetas, 4000)
         assert np.all(np.diff(means) <= 0.0)
 
     def test_matches_analytic_at_centre(self, optics):
         geometry = NetworkGeometry(0.5, 1.5, 40)
         model = ThinningModel(p=0.5, seed=99)
         t = float(db_to_linear(-6.55))
-        est = empirical_coverage(model, optics, geometry, (0.0, 0.0), t, 20_000)
+        (mean,), (stderr,) = empirical_coverage(model, optics, geometry, (0.0, 0.0), t, 20_000)
         ref = coverage_at(optics, geometry, 0.5, (0.0, 0.0), t).value
-        assert abs(est.mean - ref) <= 3 * est.stderr + 0.02
+        assert abs(mean - ref) <= 3 * stderr + 0.02
 
     def test_stderr_scaling(self, optics, small_geometry):
         model = ThinningModel(p=0.5, seed=55)
         t = float(db_to_linear(-6.55))
-        a = empirical_coverage(model, optics, small_geometry, (0.1, 0.0), t, 4000)
-        b = empirical_coverage(model, optics, small_geometry, (0.1, 0.0), t, 8000)
-        ratio = b.stderr / a.stderr
+        _, a = empirical_coverage(model, optics, small_geometry, (0.1, 0.0), t, 4000)
+        _, b = empirical_coverage(model, optics, small_geometry, (0.1, 0.0), t, 8000)
+        ratio = b[0] / a[0]
         assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
 
 class TestSpatial:
     def test_p_zero_equals_analytic_indicator(self, optics, small_geometry):
-        model = ThinningModel(p=0.0, seed=5)
         t = float(db_to_linear(3.0))
-        mc = empirical_coverage_spatial(model, optics, small_geometry, t, 10, quad_order=8)
+        means, stderrs, _ = empirical_coverage_curves(
+            optics, small_geometry, (0.0,), theta_linear=t, seed=5, trials_per_node=10, quad_order=8
+        )
         ref = coverage_spatial(
             optics, small_geometry, 0.0, t, quad_order=8, use_symmetry=False
         )
-        assert mc.mean == pytest.approx(ref, abs=1e-15)
-        assert mc.stderr == 0.0
+        assert means[0, 0] == pytest.approx(ref, abs=1e-15)
+        assert stderrs[0, 0] == 0.0
 
     def test_curves_coupled_monotone_in_p(self, optics, small_geometry):
         grid = np.arange(-12.0, 0.5, 0.5)
@@ -220,17 +217,16 @@ class TestSpatial:
             c = interference_samples(
                 model, g, BETA, (0.1, 0.1), 500, rng=substream(4, 0), block=sample_block
             )
-            counts = _node_counts(
-                4, 0, g.pitch, g.height, g.trunc, BETA, 0.1, 0.1, c, (0.5,), 500, count_block
-            )
+            counts = _node_counts(g, BETA, (0.5,), 500, count_block, 4, 0, 0.1, 0.1, c)
             assert np.array_equal(counts[0], (c[:, None] < c[None, :]).sum(axis=0))
 
     def test_spatial_estimate_fields(self, optics, small_geometry):
-        model = ThinningModel(p=0.4, seed=11)
         t = float(db_to_linear(-6.0))
-        est = empirical_coverage_spatial(model, optics, small_geometry, t, 200, quad_order=4)
-        assert 0.0 <= est.mean <= 1.0
-        assert est.trials == 200 and est.seed == 11
+        means, stderrs, _ = empirical_coverage_curves(
+            optics, small_geometry, (0.4,), theta_linear=t, seed=11, trials_per_node=200, quad_order=4
+        )
+        assert means.shape == stderrs.shape == (1, 1)
+        assert 0.0 <= means[0, 0] <= 1.0 and stderrs[0, 0] > 0.0
         zx, _, _ = attocell_quadrature(small_geometry, 4, use_symmetry=False)
         assert zx.size == 16
 
@@ -264,6 +260,38 @@ class TestSpatial:
             empirical_coverage_curves(
                 optics, small_geometry, (1.5,), theta_db=np.array([0.0])
             )
+        # the thresholds go through the same check as the analytic eta
+        for bad in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError):
+                empirical_coverage_curves(
+                    optics, small_geometry, (0.5,), theta_linear=[1.0, bad], trials_per_node=1
+                )
+
+    def test_worker_pool_capped_at_node_count(self, optics, small_geometry, monkeypatch):
+        # the pool forks all of its workers at the first submit, so more
+        # workers than quadrature nodes would only start idle processes
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(attocell.montecarlo, "ProcessPoolExecutor", SerialPool)
+        kwargs = dict(theta_db=[-8.0, -6.0], seed=7, trials_per_node=50, quad_order=2)
+        pooled = empirical_coverage_curves(optics, small_geometry, (0.5,), n_jobs=500, **kwargs)
+        assert pools == [4]
+        serial = empirical_coverage_curves(optics, small_geometry, (0.5,), **kwargs)
+        assert pools == [4]
+        assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
 
 
 class TestCltDiagnostics:
