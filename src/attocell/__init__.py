@@ -20,7 +20,7 @@ from .coverage import (
     linear_to_db,
     threshold_at_level,
 )
-from .lattice_sums import SumMethod, SumResult, sm_brute, sm_series, sv_brute, sv_series
+from .lattice_sums import SumResult, moment_sums, sm_brute, sm_series, sv_brute, sv_series
 from .model import (
     DerivedConstants,
     NetworkGeometry,
@@ -55,8 +55,8 @@ __all__ = [
     "eta",
     "linear_to_db",
     "threshold_at_level",
-    "SumMethod",
     "SumResult",
+    "moment_sums",
     "sm_brute",
     "sm_series",
     "sv_brute",

@@ -236,7 +236,7 @@ def _assign(cfg: RunConfig, values: dict) -> None:
 
 
 def _sections_from_ini(path: Path) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -443,6 +443,8 @@ def run_sums(cfg: RunConfig, pos: tuple[float, float], jl: tuple[int, int], heig
 
 def run_validate(cfg: RunConfig, budget: float) -> int:
     cfg.validate()
+    if not (math.isfinite(budget) and budget >= 0.0):
+        raise ConfigError(f"--budget: must be finite and >= 0, got {budget!r}")
     grid = cfg.theta_db_grid()
     worst = 0.0
     print(f"{'h':>6} {'p':>6} {'max |MC - analytic|':>22} {'mean stderr':>12}")
@@ -533,9 +535,12 @@ def _parse_pair(raw: str, what: str, cast):
     if len(parts) != 2:
         raise ConfigError(f"{what}: expected 'A,B', got {raw!r}")
     try:
-        return cast(parts[0]), cast(parts[1])
+        pair = cast(parts[0]), cast(parts[1])
     except ValueError:
         raise ConfigError(f"{what}: expected numbers, got {raw!r}") from None
+    if not all(map(math.isfinite, pair)):
+        raise ConfigError(f"{what}: expected finite numbers, got {raw!r}")
+    return pair
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .lattice_sums import _series_value, sm_brute, sm_series, sv_brute, sv_series
+from .lattice_sums import moment_sums
 from .model import (
     DerivedConstants,
     NetworkGeometry,
@@ -154,21 +154,12 @@ def coverage_at(
     ``sums`` selects how the moment sums are evaluated: "series" (closed
     form, default) or "brute" (truncated direct summation).
     """
-    p = _check_p(p)
-    consts = DerivedConstants.from_configs(optical, geometry)
-    if sums == "series":
-        s_m = sm_series(geometry, consts.beta, pos, jl).value
-        s_v = sv_series(geometry, consts.beta, pos, jl).value
-    elif sums == "brute":
-        s_m = sm_brute(geometry, consts.beta, pos, trunc).value
-        s_v = sv_brute(geometry, consts.beta, pos, trunc).value
-    else:
-        raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")
-    mu = p * s_m
-    sigma1 = math.sqrt(p * (1.0 - p) * s_v)
-    e = eta(optical, geometry, pos, theta_linear, consts)
+    zx, zy = position_xy(pos)
+    e, mu, sigma1, mass = _node_coverage(
+        optical, geometry, p, [zx], [zy], theta_linear, sums, jl, trunc
+    )
     return ConditionalCoverage(
-        eta=e, mu=mu, sigma1=sigma1, value=conditional_coverage(e, mu, sigma1)
+        eta=float(e[0, 0]), mu=float(mu[0]), sigma1=float(sigma1[0]), value=float(mass[0, 0])
     )
 
 
@@ -210,24 +201,26 @@ def attocell_quadrature(
     return np.array(zx_list), np.array(zy_list), np.array(w_list)
 
 
-def _node_moment_sums(
+def _node_coverage(
+    optical: OpticalConfig,
     geometry: NetworkGeometry,
-    beta: float,
-    zx: np.ndarray,
-    zy: np.ndarray,
+    p: float,
+    zx,
+    zy,
+    theta_linear,
     sums: str,
     jl: tuple[int, int],
     trunc: int | None,
 ):
-    if sums == "series":
-        s_m = np.asarray(_series_value(geometry, beta, zx, zy, jl), dtype=float)
-        s_v = np.asarray(_series_value(geometry, 2.0 * beta, zx, zy, jl), dtype=float)
-    elif sums == "brute":
-        s_m = np.array([sm_brute(geometry, beta, (x, y), trunc).value for x, y in zip(zx, zy)])
-        s_v = np.array([sv_brute(geometry, beta, (x, y), trunc).value for x, y in zip(zx, zy)])
-    else:
-        raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")
-    return s_m, s_v
+    """(eta, mu, sigma1, mass) at the nodes (zx, zy): eta and the Gaussian
+    mass over a (threshold, node) grid, mu and sigma1 per node."""
+    p = _check_p(p)
+    consts = DerivedConstants.from_configs(optical, geometry)
+    eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
+    s_m, s_v = moment_sums(geometry, (consts.beta, 2.0 * consts.beta), zx, zy, sums, jl, trunc)
+    mu = p * s_m
+    sigma1 = np.sqrt(p * (1.0 - p) * s_v)
+    return eta_grid, mu, sigma1, conditional_coverage(eta_grid, mu[None, :], sigma1[None, :])
 
 
 def _spatial_values(
@@ -241,17 +234,11 @@ def _spatial_values(
     jl: tuple[int, int],
     trunc: int | None,
 ) -> np.ndarray:
-    p = _check_p(p)
-    consts = DerivedConstants.from_configs(optical, geometry)
     if use_symmetry and sums == "series" and jl[0] != jl[1]:
         # swap symmetry requires a square mode window
         use_symmetry = False
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
-    eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
-    s_m, s_v = _node_moment_sums(geometry, consts.beta, zx, zy, sums, jl, trunc)
-    mu = p * s_m
-    sigma1 = np.sqrt(p * (1.0 - p) * s_v)
-    mass = conditional_coverage(eta_grid, mu[None, :], sigma1[None, :])
+    mass = _node_coverage(optical, geometry, p, zx, zy, theta_linear, sums, jl, trunc)[3]
     return np.clip(mass @ wq, 0.0, 1.0)
 
 

@@ -1,20 +1,23 @@
 """Interference moment sums over the square LED lattice.
 
-Both moments of the thinned interference have the shape
+Every moment of the thinned interference has the shape
 
     S(e) = sum_{(u,v) != (0,0)} ((u a + z_x)^2 + (v a + z_y)^2 + h^2)^(-e)
 
-with e = beta for the mean sum S_m and e = 2 beta for the variance sum S_v.
-Two evaluators are provided:
+with e = beta for the mean sum S_m, e = 2 beta for the variance sum S_v
+and, in general, e = k beta for the k-th cumulant.  ``moment_sums(geometry,
+exponents, zx, zy, sums=..., jl=..., trunc=...)`` evaluates S at every
+exponent and every node, as an array of shape (len(exponents), len(zx)).
+It is the one place that picks the evaluator:
 
-* ``sm_brute`` / ``sv_brute`` -- direct summation over a truncated window
-  |u|, |v| <= trunc, accumulated in ascending |u|+|v| rings with compensated
-  (Kahan) combination of the ring subtotals; the terms span ~13 decades
-  between the nearest and farthest sites.  An analytic bound on the omitted
-  mass is attached to the result.
+* ``sums="brute"`` -- direct summation over a truncated window
+  |u|, |v| <= trunc (``sm_brute`` per node and exponent), accumulated in
+  ascending |u|+|v| rings with compensated (Kahan) combination of the ring
+  subtotals; the terms span ~13 decades between the nearest and farthest
+  sites.  ``sm_brute`` also attaches an analytic bound on the omitted mass.
 
-* ``sm_series`` / ``sv_series`` -- the closed form obtained by Poisson
-  summation over the dual lattice:
+* ``sums="series"`` -- the closed form obtained by Poisson summation over
+  the dual lattice, vectorized over the nodes:
 
       S(e) ~= pi h^(2-2e) / (a^2 (e-1))  -  (z^2 + h^2)^(-e)
               + sum_{(w,f) in A} weight(w,f) * g(w,f)
@@ -35,6 +38,9 @@ Two evaluators are provided:
   VALIDATION.md.  ``series_mode_terms`` reports each mode's uniform-weight
   value next to the weighted contribution, for diagnostics.
 
+``sm_brute`` / ``sv_brute`` and ``sm_series`` / ``sv_series`` are the
+per-position forms (exponent beta and 2 beta) returning a ``SumResult``.
+
 With the default truncation j = l = 1 the series uses exactly three modes,
 (0,1), (1,0), (1,1), which already lands within ~1e-10 of the brute force
 for h/a >= 3; the Bessel factors decay like exp(-2 pi h rho / a).
@@ -44,17 +50,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .model import NetworkGeometry, lattice_sites, position_xy, tail_bound
+from .model import NetworkGeometry, interference_weights, lattice_sites, position_xy, tail_bound
 from .specfun import bessel_k, gamma
 
 __all__ = [
-    "SumMethod",
     "SumResult",
+    "moment_sums",
     "sm_brute",
     "sv_brute",
     "sm_series",
@@ -63,24 +68,13 @@ __all__ = [
 ]
 
 
-class SumMethod(Enum):
-    BRUTE_FORCE = "brute"
-    SERIES = "series"
-
-
 @dataclass(frozen=True)
 class SumResult:
-    """Value of one moment sum plus how it was obtained.
-
-    tail_bound is set for brute-force results (bound on the omitted mass
-    outside the truncation window); terms_used is set for series results
-    (number of dual modes evaluated).
-    """
+    """Value of one moment sum; tail_bound bounds the mass omitted outside
+    the truncation window of a brute-force sum (None for the series)."""
 
     value: float
-    method: SumMethod
     tail_bound: float | None = None
-    terms_used: int | None = None
 
 
 @lru_cache(maxsize=8)
@@ -99,13 +93,8 @@ def _ring_order(trunc: int):
 
 
 def _brute_value(geometry: NetworkGeometry, exponent: float, zx: float, zy: float, trunc: int) -> float:
-    sites = lattice_sites(trunc)
     order, starts = _ring_order(trunc)
-    a = geometry.pitch
-    h = geometry.height
-    dx = sites[order, 0] * a + zx
-    dy = sites[order, 1] * a + zy
-    terms = (dx * dx + dy * dy + h * h) ** (-float(exponent))
+    terms = interference_weights(geometry, exponent, (zx, zy), trunc)[order]
     ring_sums = np.add.reduceat(terms, starts)
     # Kahan combination of the ring subtotals, nearest ring first
     total = 0.0
@@ -130,11 +119,7 @@ def sm_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = No
     e = _check_exponent(beta)
     zx, zy = position_xy(pos)
     t = geometry.trunc if trunc is None else int(trunc)
-    return SumResult(
-        value=_brute_value(geometry, e, zx, zy, t),
-        method=SumMethod.BRUTE_FORCE,
-        tail_bound=tail_bound(geometry, e, t),
-    )
+    return SumResult(_brute_value(geometry, e, zx, zy, t), tail_bound(geometry, e, t))
 
 
 def sv_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None) -> SumResult:
@@ -190,26 +175,52 @@ def _check_jl(jl) -> tuple[int, int]:
     return j, l
 
 
+def moment_sums(
+    geometry: NetworkGeometry,
+    exponents,
+    zx,
+    zy,
+    sums: str = "series",
+    jl: tuple[int, int] = (1, 1),
+    trunc: int | None = None,
+) -> np.ndarray:
+    """S(e) for every exponent at every node (zx[i], zy[i]), as an array of
+    shape (len(exponents), len(zx)).
+
+    ``sums="series"`` evaluates the dual-lattice closed form over the mode
+    window jl = (j, l), i.e. [0, j] x [0, l] minus the origin; (1, 1) is
+    ample for h/a >= 3 and (0, 0) keeps only the integral and self terms.
+    ``sums="brute"`` sums the lattice directly out to ``trunc`` rings
+    (default ``geometry.trunc``), one ``sm_brute`` call per node and
+    exponent.
+    """
+    exponents = [_check_exponent(e) for e in exponents]
+    zx = np.atleast_1d(np.asarray(zx, dtype=float))
+    zy = np.atleast_1d(np.asarray(zy, dtype=float))
+    if zx.ndim != 1 or zx.shape != zy.shape:
+        raise ValueError(
+            f"node coordinates must be 1-D and of equal length, got {zx.shape} and {zy.shape}"
+        )
+    if sums == "series":
+        jl = _check_jl(jl)
+        return np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
+    if sums == "brute":
+        return np.array(
+            [[sm_brute(geometry, e, (x, y), trunc).value for x, y in zip(zx, zy)] for e in exponents]
+        )
+    raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")
+
+
 def sm_series(
     geometry: NetworkGeometry,
     beta: float,
     pos,
     jl: tuple[int, int] = (1, 1),
 ) -> SumResult:
-    """Mean sum S_m by the dual-lattice closed form.
-
-    jl = (j, l) truncates the dual modes to [0, j] x [0, l] minus the
-    origin; (1, 1) is ample for h/a >= 3 and (0, 0) keeps only the integral
-    and self terms (useful to expose the size of the Bessel corrections).
-    """
-    e = _check_exponent(beta)
-    j, l = _check_jl(jl)
+    """Mean sum S_m by the dual-lattice closed form (``moment_sums`` at one
+    position; jl is its mode window)."""
     zx, zy = position_xy(pos)
-    return SumResult(
-        value=float(_series_value(geometry, e, zx, zy, (j, l))),
-        method=SumMethod.SERIES,
-        terms_used=(j + 1) * (l + 1) - 1,
-    )
+    return SumResult(float(moment_sums(geometry, (beta,), zx, zy, "series", jl)[0, 0]))
 
 
 def sv_series(

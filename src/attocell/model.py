@@ -42,6 +42,7 @@ __all__ = [
     "sinr",
     "lattice_sites",
     "interferer_distance_sq",
+    "interference_weights",
     "tail_bound",
 ]
 
@@ -209,6 +210,16 @@ def interferer_distance_sq(geometry: NetworkGeometry, pos, trunc: int | None = N
     return dx * dx + dy * dy
 
 
+def interference_weights(
+    geometry: NetworkGeometry, exponent: float, pos, trunc: int | None = None
+) -> np.ndarray:
+    """Per-site weights (D_i^2 + h^2)^(-exponent) in ``lattice_sites``
+    order; with exponent beta they are the interferers' squared gains
+    over K^2."""
+    d2 = interferer_distance_sq(geometry, pos, trunc)
+    return (d2 + geometry.height**2) ** (-float(exponent))
+
+
 def sinr(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
@@ -236,8 +247,8 @@ def sinr(
     pr2 = (optical.power * optical.responsivity) ** 2
     k2 = consts.gain_const**2
     signal = pr2 * k2 * (zx * zx + zy * zy + h * h) ** (-beta)
-    d2 = interferer_distance_sq(geometry, (zx, zy))
-    interference = pr2 * k2 * float(np.dot(alphas.astype(float), (d2 + h * h) ** (-beta)))
+    weights = interference_weights(geometry, beta, (zx, zy))
+    interference = pr2 * k2 * float(np.dot(alphas.astype(float), weights))
     return signal / (interference + consts.noise_var)
 
 

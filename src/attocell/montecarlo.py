@@ -50,7 +50,7 @@ from .model import (
     DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
-    interferer_distance_sq,
+    interference_weights,
     position_xy,
     tail_bound,
 )
@@ -59,7 +59,6 @@ __all__ = [
     "ThinningModel",
     "CltDiagnostics",
     "substream",
-    "interference_weights",
     "interference_samples",
     "empirical_coverage",
     "empirical_coverage_curves",
@@ -109,15 +108,6 @@ def _effective_trunc(model: ThinningModel, geometry: NetworkGeometry) -> int:
     return geometry.trunc if model.trunc is None else int(model.trunc)
 
 
-def interference_weights(
-    geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None
-) -> np.ndarray:
-    """Per-site interference weights (D_i^2 + h^2)^(-beta) in
-    ``lattice_sites`` order."""
-    d2 = interferer_distance_sq(geometry, pos, trunc)
-    return (d2 + geometry.height**2) ** (-float(beta))
-
-
 def _fixed_point_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
     """Weights rounded to integer multiples of 2^-shift, as (w_int, shift).
 
@@ -133,10 +123,19 @@ def _fixed_point_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
         shift -= 1
 
 
-def _thinned_sums(u: np.ndarray, p32: np.float32, w_int: np.ndarray, shift: int) -> np.ndarray:
-    """C for each row of uniforms ``u``, where the sites with u < p transmit;
-    ``(w_int, shift)`` comes from ``_fixed_point_weights``."""
-    return np.ldexp(np.asarray(u < p32, dtype=float) @ w_int, -shift)
+def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int, block: int):
+    """Yield, for each block of up to ``block`` trials, C under every p in
+    ``p_list`` (one array per p).  One float32 uniform per (trial, site) is
+    drawn once and shared across the p grid, and the sites with u < p
+    transmit; C is summed from the fixed-point form of the weights ``w``."""
+    w_int, shift = _fixed_point_weights(w)
+    p32 = [np.float32(p) for p in p_list]
+    done = 0
+    while done < trials:
+        b = min(block, trials - done)
+        u = rng.random((b, w_int.size), dtype=np.float32)
+        yield [np.ldexp(np.asarray(u < p, dtype=float) @ w_int, -shift) for p in p32]
+        done += b
 
 
 def interference_samples(
@@ -154,18 +153,8 @@ def interference_samples(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if rng is None:
         rng = substream(model.seed)
-    w_int, shift = _fixed_point_weights(
-        interference_weights(geometry, beta, pos, _effective_trunc(model, geometry))
-    )
-    p32 = np.float32(model.p)
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        u = rng.random((b, w_int.size), dtype=np.float32)
-        out[done : done + b] = _thinned_sums(u, p32, w_int, shift)
-        done += b
-    return out
+    w = interference_weights(geometry, beta, pos, _effective_trunc(model, geometry))
+    return np.concatenate([c for c, in _thinned_sums(rng, w, (model.p,), trials, block)])
 
 
 def _count_below(samples: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -215,17 +204,11 @@ def _node_counts(
     One float32 uniform per (trial, site) is shared across the whole p
     grid (common random numbers); C is summed from fixed-point weights.
     """
-    w_int, shift = _fixed_point_weights(interference_weights(geometry, beta, (zx, zy)))
-    rng = substream(seed, node_index)
+    w = interference_weights(geometry, beta, (zx, zy))
     counts = np.zeros((len(p_list), eta_row.size), dtype=np.int64)
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        u = rng.random((b, w_int.size), dtype=np.float32)
-        for k, p in enumerate(p_list):
-            c = _thinned_sums(u, np.float32(p), w_int, shift)
+    for sums in _thinned_sums(substream(seed, node_index), w, p_list, trials, block):
+        for k, c in enumerate(sums):
             counts[k] += (c[:, None] < eta_row[None, :]).sum(axis=0)
-        done += b
     return counts
 
 

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,15 @@ class TestLoadConfig:
         ini.write_text("\n".join(lines) + "\n")
         assert load_config(str(ini)) == cfg
 
+    def test_readme_example_loads_as_defaults(self, tmp_path):
+        # the INI block in README.md, inline "; unit" comments included,
+        # spells out the defaults
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert load_config(str(path)) == RunConfig()
+
     def test_json_config(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"thinning": {"p_list": [0.5], "seed": 9}}))
@@ -276,8 +287,23 @@ class TestSums:
     def test_bad_pos(self, tiny_config):
         assert run_cli("sums", "--config", str(tiny_config), "--pos", "1,2,3") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("pos", ["nan,0", "0.1,inf"])
+    def test_non_finite_pos(self, tiny_config, capsys, pos):
+        assert run_cli("sums", "--config", str(tiny_config), "--pos", pos) == EXIT_CONFIG
+        assert "--pos" in capsys.readouterr().err
+
 
 class TestValidate:
+    @pytest.mark.parametrize("budget", ["nan", "-0.1"])
+    def test_bad_budget_rejected_before_sampling(self, tiny_config, capsys, monkeypatch, budget):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the budget")
+
+        monkeypatch.setattr("attocell.cli.empirical_coverage_curves", no_sampling)
+        code = run_cli("validate", "--config", str(tiny_config), "--budget", budget)
+        assert code == EXIT_CONFIG
+        assert "--budget" in capsys.readouterr().err
+
     def test_passes_with_reasonable_trials(self, tiny_config, capsys):
         code = run_cli("validate", "--config", str(tiny_config), "--trials", "400")
         out = capsys.readouterr().out

@@ -21,7 +21,8 @@ from attocell import (
 )
 import attocell.montecarlo
 from attocell.coverage import attocell_quadrature
-from attocell.montecarlo import _node_counts, interference_weights, substream
+from attocell.model import interference_weights
+from attocell.montecarlo import _node_counts, substream
 
 BETA = 4.0
 
