@@ -107,18 +107,18 @@ def conditional_coverage(eta_value, mu, sigma1):
     """Gaussian mass of the interference on [0, eta], clamped to [0, 1].
 
     Accepts floats, which give a float, or arrays that broadcast together.
-    sigma1 = 0 everywhere is the degenerate (deterministic interference)
+    A lane with sigma1 = 0 is the degenerate (deterministic interference)
     case and gives the indicator of mu < eta_value.
     """
     mu = np.asarray(mu, dtype=float)
     sigma1 = np.asarray(sigma1, dtype=float)
     if np.any(sigma1 < 0.0) or np.any(mu < 0.0):
         raise ValueError("mu and sigma1 must be >= 0")
-    if np.all(sigma1 == 0.0):
-        value = np.asarray(mu < eta_value, dtype=float)
-    else:
-        scale = _SQRT2 * sigma1
-        value = np.clip(0.5 * (specfun.erf((eta_value - mu) / scale) + specfun.erf(mu / scale)), 0.0, 1.0)
+    degenerate = sigma1 == 0.0
+    # any positive scale keeps the erf arguments finite in degenerate lanes
+    scale = _SQRT2 * np.where(degenerate, 1.0, sigma1)
+    mass = np.clip(0.5 * (specfun.erf((eta_value - mu) / scale) + specfun.erf(mu / scale)), 0.0, 1.0)
+    value = np.where(degenerate, mu < eta_value, mass)
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -191,14 +191,9 @@ def attocell_quadrature(
     else:
         hx = x[mid:]
         hw = np.concatenate([[w[mid]], 2.0 * w[mid + 1 :]])
-    # fold the swap symmetry onto the triangle i >= j
-    zx_list, zy_list, w_list = [], [], []
-    for i in range(hx.size):
-        for j in range(i + 1):
-            zx_list.append(hx[i])
-            zy_list.append(hx[j])
-            w_list.append(hw[i] * hw[j] if i == j else 2.0 * hw[i] * hw[j])
-    return np.array(zx_list), np.array(zy_list), np.array(w_list)
+    # fold the swap symmetry onto the triangle i >= j, in row-major order
+    i, j = np.tril_indices(hx.size)
+    return hx[i], hx[j], np.where(i == j, 1.0, 2.0) * hw[i] * hw[j]
 
 
 def _node_coverage(

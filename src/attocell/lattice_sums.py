@@ -12,9 +12,10 @@ It is the one place that picks the evaluator:
 
 * ``sums="brute"`` -- direct summation over a truncated window
   |u|, |v| <= trunc (``sm_brute`` per node and exponent), accumulated in
-  ascending |u|+|v| rings with compensated (Kahan) combination of the ring
-  subtotals; the terms span ~13 decades between the nearest and farthest
-  sites.  ``sm_brute`` also attaches an analytic bound on the omitted mass.
+  ascending |u|+|v| rings whose subtotals are combined by ``math.fsum``
+  (correctly rounded); the terms span ~13 decades between the nearest and
+  farthest sites.  ``sm_brute`` also attaches an analytic bound on the
+  omitted mass.
 
 * ``sums="series"`` -- the closed form obtained by Poisson summation over
   the dual lattice, vectorized over the nodes:
@@ -95,16 +96,7 @@ def _ring_order(trunc: int):
 def _brute_value(geometry: NetworkGeometry, exponent: float, zx: float, zy: float, trunc: int) -> float:
     order, starts = _ring_order(trunc)
     terms = interference_weights(geometry, exponent, (zx, zy), trunc)[order]
-    ring_sums = np.add.reduceat(terms, starts)
-    # Kahan combination of the ring subtotals, nearest ring first
-    total = 0.0
-    comp = 0.0
-    for s in ring_sums:
-        y = float(s) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    return math.fsum(np.add.reduceat(terms, starts))
 
 
 def _check_exponent(exponent: float) -> float:

@@ -127,7 +127,10 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int, 
     """Yield, for each block of up to ``block`` trials, C under every p in
     ``p_list`` (one array per p).  One float32 uniform per (trial, site) is
     drawn once and shared across the p grid, and the sites with u < p
-    transmit; C is summed from the fixed-point form of the weights ``w``."""
+    transmit; C is summed from the fixed-point form of the weights ``w``.
+    Raises ``ValueError`` before any draw unless ``block >= 1``."""
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block!r}")
     w_int, shift = _fixed_point_weights(w)
     p32 = [np.float32(p) for p in p_list]
     done = 0
@@ -216,17 +219,16 @@ def empirical_coverage_curves(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
     p_list,
-    theta_db=None,
-    theta_linear=None,
+    theta_db,
     seed: int = 0,
     trials_per_node: int = 10000,
     quad_order: int = 16,
     trunc: int | None = None,
     n_jobs: int = 1,
     block: int = _DEFAULT_BLOCK,
-    use_symmetry: bool = False,
 ):
-    """Spatially averaged empirical coverage over (p, theta) grids.
+    """Spatially averaged empirical coverage over the p grid ``p_list`` and
+    the threshold grid ``theta_db`` (dB, or one threshold).
 
     Node i of the quadrature draws from ``substream(seed, i)``; nodes run in
     up to ``n_jobs`` worker processes with results identical to the serial
@@ -236,17 +238,14 @@ def empirical_coverage_curves(
     (len(p_list), len(theta)) and tail bounds the interference mass omitted
     by the sampling truncation.
     """
-    if (theta_db is None) == (theta_linear is None):
-        raise ValueError("provide exactly one of theta_db, theta_linear")
-    if theta_linear is None:
-        theta_linear = db_to_linear(np.atleast_1d(theta_db))
+    theta_linear = db_to_linear(np.atleast_1d(theta_db))
     p_list = tuple(_check_p(p) for p in p_list)
     trials_per_node = int(trials_per_node)
     if trials_per_node < 1:
         raise ValueError(f"trials_per_node must be >= 1, got {trials_per_node!r}")
     sampled = geometry if trunc is None else replace(geometry, trunc=int(trunc))
     consts = DerivedConstants.from_configs(optical, geometry)
-    zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
+    zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry=False)
     etas = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
     node = partial(
         _node_counts, sampled, consts.beta, p_list, trials_per_node, int(block), int(seed)

@@ -1,13 +1,15 @@
-"""Self-contained special functions used by the closed-form coverage pipeline.
+"""Special functions used by the closed-form coverage pipeline.
 
 Three real-argument kernels are provided:
 
 * :func:`erf` -- Gaussian error function, for the conditional coverage
-  probability and the normal CDF.
+  probability and the normal CDF; ``math.erf`` element by element, with a
+  float-or-array contract and a check for non-finite input.
 * :func:`gamma` -- Euler gamma for positive arguments, for the dual-lattice
-  series prefactors.
+  series prefactors; ``math.gamma`` behind a domain check.
 * :func:`bessel_k` -- modified Bessel function of the second kind with real
-  order ``nu >= 0``, for the exponentially decaying dual-lattice terms.
+  order ``nu >= 0``, for the exponentially decaying dual-lattice terms.  It
+  has no standard-library equivalent and is implemented here.
 
 All functions are pure and hold no state, so they are safe to call from any
 number of threads.  Accuracy targets (checked against independent oracles in
@@ -23,67 +25,28 @@ import numpy as np
 
 __all__ = ["erf", "gamma", "bessel_k"]
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _EPS = float(np.finfo(float).eps)
-
-# erfc(x) < eps/2 beyond this point, so 1.0 is the correctly rounded value
-_ERF_SATURATION = 5.8646
-_ERF_MAX_TERMS = 700
-
-
-def _erf_array(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    out = np.where(ax >= _ERF_SATURATION, 1.0, 0.0)
-    small = ax < _ERF_SATURATION
-    if np.any(small):
-        a = ax[small]
-        # All-positive-term expansion erf(x) = (2x/sqrt(pi)) e^{-x^2}
-        # sum_k (2x^2)^k / (1*3*...*(2k+1)); free of cancellation for any x.
-        t = 2.0 * a * a
-        term = np.ones_like(t)
-        total = np.ones_like(t)
-        for k in range(1, _ERF_MAX_TERMS):
-            term *= t / (2 * k + 1)
-            total += term
-            if np.all(term < total * 1e-18):
-                break
-        out[small] = np.minimum(_TWO_OVER_SQRT_PI * a * np.exp(-a * a) * total, 1.0)
-    return np.copysign(out, x)
 
 
 def erf(x):
     """Gaussian error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt.
 
-    Accepts a float or an ndarray and returns the matching type.  Odd in x,
-    with |erf(x)| < 1 for finite x; saturates to +-1.0 once the complement is
-    below double precision.  Non-finite input raises ``ValueError``.
+    Accepts a float or an ndarray and returns the matching type; every value
+    is ``math.erf`` of the input.  Non-finite input raises ``ValueError``.
     """
-    scalar = not isinstance(x, np.ndarray)
-    values = np.array([float(x)]) if scalar else np.asarray(x, dtype=float)
+    if not isinstance(x, np.ndarray):
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError("erf: non-finite input")
+        return math.erf(x)
+    values = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("erf: non-finite input")
-    out = _erf_array(values)
-    return float(out[0]) if scalar else out
-
-
-# Lanczos approximation, g = 7, 9 terms (Godfrey's coefficients).  Relative
-# error is a few 1e-15 over the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+    return np.fromiter(map(math.erf, values.flat), float, values.size).reshape(values.shape)
 
 
 def gamma(x: float) -> float:
-    """Euler gamma function for x > 0.
+    """Euler gamma function for x > 0 (``math.gamma``).
 
     Only positive arguments are supported (the series prefactors never need
     the poles); x <= 0 or non-finite input raises ``ValueError``.
@@ -91,14 +54,7 @@ def gamma(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma: argument must be finite and > 0, got {x!r}")
-    if x < 0.5:
-        return gamma(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 # Maclaurin coefficients of 1/Gamma(1+x) (Abramowitz & Stegun 6.1.34); the

@@ -80,6 +80,18 @@ class TestConditionalCoverage:
         assert conditional_coverage(0.1, 0.2, 0.0) == 0.0
         assert conditional_coverage(0.2, 0.2, 0.0) == 0.0  # strict inequality
 
+    def test_degenerate_lanes_among_gaussian_ones(self):
+        # each sigma1 = 0 lane takes its own indicator; the others stay Gaussian
+        mu = np.array([0.5, 0.5, 0.5, 0.2])
+        sigma1 = np.array([0.0, 0.1, 0.0, 0.05])
+        eta_value = np.array([1.0, 1.0, 0.2, 0.2])
+        got = conditional_coverage(eta_value, mu, sigma1)
+        assert got[0] == 1.0 and got[2] == 0.0
+        assert got[1] == conditional_coverage(1.0, 0.5, 0.1)
+        assert got[3] == conditional_coverage(0.2, 0.2, 0.05)
+        grid = conditional_coverage(np.array([[1.0], [0.2]]), np.array([[0.5, 0.5]]), np.array([[0.0, 0.1]]))
+        assert grid.shape == (2, 2) and grid[0, 0] == 1.0 and grid[1, 0] == 0.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             conditional_coverage(0.1, -0.1, 0.05)

@@ -19,7 +19,7 @@ from attocell import (
 from attocell.lattice_sums import series_mode_terms
 from attocell.model import lattice_sites
 
-# ring-ordered compensated sum at the reference config, pinned by the
+# ring-ordered fsum at the reference config, pinned by the
 # independent row-major summation below agreeing to 1e-13
 SM_REFERENCE = 0.32872461712993456  # a=0.5, h=1.5, beta=4, z=(0,0), trunc=200
 SV_CORNER_REFERENCE = 0.005158622238419826  # as above at z=(0.25, 0.25), exponent 8
@@ -27,7 +27,7 @@ SV_CORNER_REFERENCE = 0.005158622238419826  # as above at z=(0.25, 0.25), expone
 
 def row_major_sum(geometry, exponent, pos, trunc):
     """Second, independent implementation: plain row-major numpy pairwise
-    summation (different accumulation order than the library's ring Kahan)."""
+    summation (different accumulation order than the library's ring fsum)."""
     sites = lattice_sites(trunc)
     dx = sites[:, 0] * geometry.pitch + pos[0]
     dy = sites[:, 1] * geometry.pitch + pos[1]

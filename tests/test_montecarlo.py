@@ -73,6 +73,17 @@ class TestSampling:
         b = interference_samples(model, small_geometry, BETA, (0.1, 0.1), 500, block=500)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("block", [0, -1])
+    def test_block_must_be_positive(self, optics, small_geometry, block):
+        # a block of no trials never advances the trial loop
+        model = ThinningModel(p=0.5, seed=1)
+        with pytest.raises(ValueError, match="block"):
+            interference_samples(model, small_geometry, BETA, (0.1, 0.1), 10, block=block)
+        with pytest.raises(ValueError, match="block"):
+            empirical_coverage_curves(
+                optics, small_geometry, (0.5,), theta_db=[-6.0], trials_per_node=10, quad_order=2, block=block
+            )
+
     def test_fixed_point_error_within_bound(self, small_geometry):
         # C against the correctly rounded sum of the same sites' float weights;
         # the fixed-point rounding is bounded by n * 2^-53 * S_m
@@ -157,12 +168,11 @@ class TestEmpiricalCoverage:
 
 class TestSpatial:
     def test_p_zero_equals_analytic_indicator(self, optics, small_geometry):
-        t = float(db_to_linear(3.0))
         means, stderrs, _ = empirical_coverage_curves(
-            optics, small_geometry, (0.0,), theta_linear=t, seed=5, trials_per_node=10, quad_order=8
+            optics, small_geometry, (0.0,), theta_db=3.0, seed=5, trials_per_node=10, quad_order=8
         )
         ref = coverage_spatial(
-            optics, small_geometry, 0.0, t, quad_order=8, use_symmetry=False
+            optics, small_geometry, 0.0, float(db_to_linear(3.0)), quad_order=8, use_symmetry=False
         )
         assert means[0, 0] == pytest.approx(ref, abs=1e-15)
         assert stderrs[0, 0] == 0.0
@@ -222,50 +232,25 @@ class TestSpatial:
             assert np.array_equal(counts[0], (c[:, None] < c[None, :]).sum(axis=0))
 
     def test_spatial_estimate_fields(self, optics, small_geometry):
-        t = float(db_to_linear(-6.0))
         means, stderrs, _ = empirical_coverage_curves(
-            optics, small_geometry, (0.4,), theta_linear=t, seed=11, trials_per_node=200, quad_order=4
+            optics, small_geometry, (0.4,), theta_db=-6.0, seed=11, trials_per_node=200, quad_order=4
         )
         assert means.shape == stderrs.shape == (1, 1)
         assert 0.0 <= means[0, 0] <= 1.0 and stderrs[0, 0] > 0.0
         zx, _, _ = attocell_quadrature(small_geometry, 4, use_symmetry=False)
         assert zx.size == 16
 
-    def test_symmetry_folded_nodes(self, optics, small_geometry):
-        # folding the quadrature onto one octant keeps the estimator valid
-        # (identically distributed nodes) and deterministic
-        grid = np.array([-8.0, -6.0])
-        a = empirical_coverage_curves(
-            optics, small_geometry, (0.5,), theta_db=grid, seed=3,
-            trials_per_node=400, quad_order=8, use_symmetry=True,
-        )
-        b = empirical_coverage_curves(
-            optics, small_geometry, (0.5,), theta_db=grid, seed=3,
-            trials_per_node=400, quad_order=8, use_symmetry=True,
-        )
-        assert np.array_equal(a[0], b[0])
-        assert np.all((a[0] >= 0.0) & (a[0] <= 1.0))
-        full = empirical_coverage_curves(
-            optics, small_geometry, (0.5,), theta_db=grid, seed=3,
-            trials_per_node=400, quad_order=8, use_symmetry=False,
-        )
-        # same estimand; agreement within a loose statistical band
-        assert np.max(np.abs(a[0] - full[0])) < 0.1
-
     def test_theta_argument_validation(self, optics, small_geometry):
-        with pytest.raises(ValueError):
-            empirical_coverage_curves(
-                optics, small_geometry, (0.5,), theta_db=None, theta_linear=None
-            )
         with pytest.raises(ValueError):
             empirical_coverage_curves(
                 optics, small_geometry, (1.5,), theta_db=np.array([0.0])
             )
-        # the thresholds go through the same check as the analytic eta
-        for bad in (-1.0, 0.0, float("nan")):
+        # the thresholds go through the same check as the analytic eta:
+        # -inf dB is a zero linear threshold, +inf dB an infinite one
+        for bad in (-float("inf"), float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 empirical_coverage_curves(
-                    optics, small_geometry, (0.5,), theta_linear=[1.0, bad], trials_per_node=1
+                    optics, small_geometry, (0.5,), theta_db=[0.0, bad], trials_per_node=1
                 )
 
     def test_worker_pool_capped_at_node_count(self, optics, small_geometry, monkeypatch):
