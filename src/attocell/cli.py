@@ -17,12 +17,13 @@ Configuration comes from an INI-style file (``key = value`` under
 from a previously written ``manifest.json``, or from nothing at all: the
 defaults reproduce the shipped reference setup (0.5 m pitch, heights 1.5 to
 3.0 m, p in {0.3, 0.5, 0.8}, thresholds -20..10 dB in 0.25 dB steps).
-Flags override file values.  CSV cells are printed with 17 significant
-digits and '\\n' line endings, so identical configurations and seeds
-produce byte-identical files.
+Flags override file values; each subcommand accepts only the flags whose
+values it reads.  CSV cells are printed with 17 significant digits and
+'\\n' line endings, so identical configurations and seeds produce
+byte-identical files.
 
-Exit codes: 0 success, 1 configuration error, 2 validation failure,
-3 I/O error.
+Exit codes: 0 success, 1 configuration or usage error, 2 validation
+failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -122,10 +123,25 @@ def _each(ok, complaint: str):
     return check
 
 
-def _setting(section: str, default, parse, *checks, flag: str | None = None):
+@dataclass(frozen=True)
+class _Flag:
+    """The command-line option that overrides a setting, and the
+    subcommands that read the setting."""
+
+    name: str
+    type: Callable
+    help: str
+    commands: tuple[str, ...] = ("sweep",)
+
+
+# the subcommands that build coverage curves
+_CURVES = ("sweep", "validate")
+
+
+def _setting(section: str, default, parse, *checks, flag: _Flag | None = None):
     """A RunConfig field: the config section holding it, the parser of its
-    raw value, the checks its value must pass and the argparse ``dest`` of
-    the flag that overrides it."""
+    raw value, the checks its value must pass and the flag that overrides
+    it."""
     return dataclasses.field(
         default=default, metadata=dict(section=section, parse=parse, checks=checks, flag=flag)
     )
@@ -148,15 +164,16 @@ class RunConfig:
         (1.5, 2.0, 2.5, 3.0),
         _numbers,
         _each(lambda h: math.isfinite(h) and h > 0, "heights must be > 0, got {!r}"),
-        flag="heights",
+        flag=_Flag("--heights", str, "comma-separated LED heights (m)", _CURVES),
     )
-    trunc: int = _setting("geometry", 200, _integer, _at_least(1), flag="trunc")
+    trunc: int = _setting("geometry", 200, _integer, _at_least(1), flag=_Flag(
+        "--trunc", int, "lattice truncation (rings) for brute-force sums", ("sweep", "sums")))
     p_list: tuple[float, ...] = _setting(
         "thinning",
         (0.3, 0.5, 0.8),
         _numbers,
         _each(lambda p: 0.0 <= p <= 1.0, "probabilities must be in [0, 1], got {!r}"),
-        flag="p",
+        flag=_Flag("--p", str, "comma-separated thinning probabilities", _CURVES),
     )
     theta_db_start: float = _setting("sweep", -20.0, _number, _finite)
     theta_db_stop: float = _setting("sweep", 10.0, _number, _finite)
@@ -166,15 +183,21 @@ class RunConfig:
         ("analytic",),
         _names,
         _each(lambda m: m in _METHODS, f"unknown method {{!r}} (choose from {_METHODS})"),
-        flag="methods",
+        flag=_Flag("--methods", str, "comma-separated subset of analytic,montecarlo,brute"),
     )
-    seed: int = _setting("thinning", 20250809, _integer, _at_least(0), flag="seed")
-    trials: int = _setting("thinning", 10000, _integer, _at_least(1), flag="trials")
-    quad_order: int = _setting("sweep", 32, _integer, _at_least(1), flag="quad_order")
-    mc_quad_order: int = _setting("sweep", 16, _integer, _at_least(1), flag="mc_quad_order")
-    mc_trunc: int = _setting("thinning", 40, _integer, _at_least(1), flag="mc_trunc")
-    jobs: int = _setting("sweep", 1, _integer, _at_least(1), flag="jobs")
-    out_dir: str = _setting("output", "attocell_out", str, flag="out")
+    seed: int = _setting("thinning", 20250809, _integer, _at_least(0), flag=_Flag(
+        "--seed", int, "RNG seed for Monte Carlo methods", _CURVES))
+    trials: int = _setting("thinning", 10000, _integer, _at_least(1), flag=_Flag(
+        "--trials", int, "Monte Carlo trials per spatial node", _CURVES))
+    quad_order: int = _setting("sweep", 32, _integer, _at_least(1), flag=_Flag(
+        "--quad-order", int, "tensor quadrature order per axis (analytic)"))
+    mc_quad_order: int = _setting("sweep", 16, _integer, _at_least(1), flag=_Flag(
+        "--mc-quad-order", int, "tensor quadrature order per axis for Monte Carlo comparisons", _CURVES))
+    mc_trunc: int = _setting("thinning", 40, _integer, _at_least(1), flag=_Flag(
+        "--mc-trunc", int, "lattice truncation for Monte Carlo sampling", _CURVES))
+    jobs: int = _setting("sweep", 1, _integer, _at_least(1), flag=_Flag(
+        "--jobs", int, "worker processes for Monte Carlo nodes", _CURVES))
+    out_dir: str = _setting("output", "attocell_out", str, flag=_Flag("--out", str, "output directory"))
 
     def validate(self) -> None:
         for f in _FIELDS:
@@ -209,7 +232,7 @@ class _Field:
     key: str
     parse: Callable
     checks: tuple = ()
-    flag: str | None = None
+    flag: _Flag | None = None
 
     def get(self, cfg: RunConfig):
         return getattr(cfg.optical if self.section == "optical" else cfg, self.key)
@@ -295,7 +318,8 @@ def load_config(path: str | None) -> RunConfig:
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
     values = {}
     for f in _FIELDS:
-        raw = getattr(args, f.flag, None) if f.flag else None
+        # argparse stores "--mc-trunc" under "mc_trunc"
+        raw = getattr(args, f.flag.name[2:].replace("-", "_"), None) if f.flag else None
         if raw is None:
             continue
         try:
@@ -303,7 +327,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
         except ValueError:
             # argparse has already typed the integer flags, so only the
             # number lists can fail here
-            raise ConfigError(f"--{f.flag}: expected comma-separated numbers, got {raw!r}") from None
+            raise ConfigError(f"{f.flag.name}: expected comma-separated numbers, got {raw!r}") from None
     _assign(cfg, values)
 
 
@@ -327,18 +351,22 @@ def _write_curve_csv(path: Path, curve: CoverageCurve) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _analytic_curves(cfg: RunConfig, height: float, sums: str) -> dict[float, CoverageCurve]:
+def _analytic_curves(
+    cfg: RunConfig, height: float, sums: str, quad_order: int
+) -> dict[float, CoverageCurve]:
     geometry = cfg.geometry(height)
     grid = cfg.theta_db_grid()
     return {
         p: coverage_curve(
-            cfg.optical, geometry, p, grid, quad_order=cfg.quad_order, sums=sums
+            cfg.optical, geometry, p, grid, quad_order=quad_order, sums=sums
         )
         for p in cfg.p_list
     }
 
 
-def _montecarlo_curves(cfg: RunConfig, height: float) -> dict[float, CoverageCurve]:
+def _montecarlo_curves(cfg: RunConfig, height: float) -> tuple[dict[float, CoverageCurve], float]:
+    """The Monte Carlo curve of every p, and the bound on the interference
+    mass that the sampling truncation omits."""
     geometry = cfg.geometry(height)
     grid = cfg.theta_db_grid()
     means, stderrs, tail = empirical_coverage_curves(
@@ -352,17 +380,11 @@ def _montecarlo_curves(cfg: RunConfig, height: float) -> dict[float, CoverageCur
         trunc=cfg.mc_trunc,
         n_jobs=cfg.jobs,
     )
-    out = {}
-    for k, p in enumerate(cfg.p_list):
-        out[p] = CoverageCurve(
-            theta_db=grid,
-            theta_linear=db_to_linear(grid),
-            values=means[k],
-            method="montecarlo",
-            config={"seed": cfg.seed, "trials": cfg.trials, "mc_trunc": cfg.mc_trunc, "tail_bound": tail},
-            stderr=stderrs[k],
-        )
-    return out
+    curves = {
+        p: CoverageCurve(grid, db_to_linear(grid), means[k], stderrs[k])
+        for k, p in enumerate(cfg.p_list)
+    }
+    return curves, tail
 
 
 def run_sweep(cfg: RunConfig) -> int:
@@ -371,15 +393,16 @@ def run_sweep(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     diffs = {}
+    tails = {}
     for height in cfg.heights:
         by_method: dict[str, dict[float, CoverageCurve]] = {}
         for method in cfg.methods:
             if method == "analytic":
-                by_method[method] = _analytic_curves(cfg, height, "series")
+                by_method[method] = _analytic_curves(cfg, height, "series", cfg.quad_order)
             elif method == "brute":
-                by_method[method] = _analytic_curves(cfg, height, "brute")
+                by_method[method] = _analytic_curves(cfg, height, "brute", cfg.quad_order)
             else:
-                by_method[method] = _montecarlo_curves(cfg, height)
+                by_method[method], tails[f"h{height:g}"] = _montecarlo_curves(cfg, height)
             for p, curve in by_method[method].items():
                 name = _curve_filename(p, height, method)
                 _write_curve_csv(out_dir / name, curve)
@@ -399,6 +422,8 @@ def run_sweep(cfg: RunConfig) -> int:
     if diffs:
         manifest["max_abs_diff_analytic_vs_montecarlo"] = diffs
         manifest["max_abs_diff_overall"] = max(diffs.values())
+    if tails:
+        manifest["montecarlo_tail_bound"] = tails
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -445,35 +470,15 @@ def run_validate(cfg: RunConfig, budget: float) -> int:
     cfg.validate()
     if not (math.isfinite(budget) and budget >= 0.0):
         raise ConfigError(f"--budget: must be finite and >= 0, got {budget!r}")
-    grid = cfg.theta_db_grid()
     worst = 0.0
     print(f"{'h':>6} {'p':>6} {'max |MC - analytic|':>22} {'mean stderr':>12}")
     for height in cfg.heights:
-        geometry = cfg.geometry(height)
-        means, stderrs, tail = empirical_coverage_curves(
-            cfg.optical,
-            geometry,
-            cfg.p_list,
-            theta_db=grid,
-            seed=cfg.seed,
-            trials_per_node=cfg.trials,
-            quad_order=cfg.mc_quad_order,
-            trunc=cfg.mc_trunc,
-            n_jobs=cfg.jobs,
-        )
-        for k, p in enumerate(cfg.p_list):
-            analytic = coverage_curve(
-                cfg.optical,
-                geometry,
-                p,
-                grid,
-                quad_order=cfg.mc_quad_order,
-                sums="series",
-                use_symmetry=False,
-            )
-            delta = float(np.max(np.abs(means[k] - analytic.values)))
+        empirical, tail = _montecarlo_curves(cfg, height)
+        analytic = _analytic_curves(cfg, height, "series", cfg.mc_quad_order)
+        for p in cfg.p_list:
+            delta = float(np.max(np.abs(empirical[p].values - analytic[p].values)))
             worst = max(worst, delta)
-            print(f"{height:>6g} {p:>6g} {delta:>22.5f} {float(np.mean(stderrs[k])):>12.5f}")
+            print(f"{height:>6g} {p:>6g} {delta:>22.5f} {float(np.mean(empirical[p].stderr)):>12.5f}")
         print(f"  sampling truncation tail bound: {tail:.3e}", file=sys.stderr)
     print()
     print("CLT diagnostics at the attocell centre (standardized interference):")
@@ -500,32 +505,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coverage curves for a Bernoulli-thinned LiFi attocell grid.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    commands = {}
+    for command, text in (
+        ("sweep", "write coverage-curve CSVs and a manifest"),
+        ("sums", "report moment sums at one position"),
+        ("validate", "Monte Carlo vs analytic agreement check"),
+    ):
+        # no abbreviations: "sums --p" must not be read as "--pos"
+        sp = commands[command] = sub.add_parser(command, help=text, allow_abbrev=False)
         sp.add_argument("--config", help="INI config or manifest.json from a previous run")
-        sp.add_argument("--seed", type=int, help="RNG seed for Monte Carlo methods")
-        sp.add_argument("--trials", type=int, help="Monte Carlo trials per spatial node")
-        sp.add_argument("--quad-order", dest="quad_order", type=int, help="tensor quadrature order per axis (analytic)")
-        sp.add_argument("--mc-quad-order", dest="mc_quad_order", type=int, help="tensor quadrature order per axis for Monte Carlo comparisons")
-        sp.add_argument("--trunc", type=int, help="lattice truncation (rings) for brute-force sums")
-        sp.add_argument("--mc-trunc", dest="mc_trunc", type=int, help="lattice truncation for Monte Carlo sampling")
-        sp.add_argument("--jobs", type=int, help="worker processes for Monte Carlo nodes")
-        sp.add_argument("--heights", help="comma-separated LED heights (m)")
-        sp.add_argument("--p", help="comma-separated thinning probabilities")
+        for f in _FIELDS:
+            if f.flag and command in f.flag.commands:
+                sp.add_argument(f.flag.name, type=f.flag.type, help=f.flag.help)
 
-    sp = sub.add_parser("sweep", help="write coverage-curve CSVs and a manifest")
-    add_common(sp)
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--methods", help="comma-separated subset of analytic,montecarlo,brute")
-
-    sp = sub.add_parser("sums", help="report moment sums at one position")
-    add_common(sp)
+    sp = commands["sums"]
     sp.add_argument("--pos", default="0,0", help="receiver position 'x,y' in metres")
     sp.add_argument("--jl", default="1,1", help="series mode truncation 'j,l'")
     sp.add_argument("--height", type=float, help="LED height to use (default: first configured)")
-
-    sp = sub.add_parser("validate", help="Monte Carlo vs analytic agreement check")
-    add_common(sp)
+    sp = commands["validate"]
     sp.add_argument("--budget", type=float, default=0.02, help="absolute agreement budget (default 0.02)")
     return parser
 
@@ -544,25 +541,24 @@ def _parse_pair(raw: str, what: str, cast):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a failed validate
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
         if args.command == "sweep":
             return run_sweep(cfg)
-        if args.command == "sums":
-            pos = _parse_pair(args.pos, "--pos", float)
-            jl = _parse_pair(args.jl, "--jl", int)
-            if jl[0] < 0 or jl[1] < 0:
-                raise ConfigError(f"--jl: modes must be >= 0, got {args.jl!r}")
-            return run_sums(cfg, pos, jl, args.height)
         if args.command == "validate":
             return run_validate(cfg, args.budget)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+        pos = _parse_pair(args.pos, "--pos", float)
+        jl = _parse_pair(args.jl, "--jl", int)
+        if jl[0] < 0 or jl[1] < 0:
+            raise ConfigError(f"--jl: modes must be >= 0, got {args.jl!r}")
+        return run_sums(cfg, pos, jl, args.height)
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

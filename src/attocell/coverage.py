@@ -26,7 +26,7 @@ dihedral symmetry of the integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,12 +95,11 @@ def eta(
     geometry: NetworkGeometry,
     pos,
     theta_linear: float,
-    consts: DerivedConstants | None = None,
 ) -> float:
     """Interference threshold eta(z, theta); may be negative once noise
     alone pushes the SINR below theta."""
     zx, zy = position_xy(pos)
-    return float(_eta_grid(optical, geometry, zx, zy, theta_linear, consts)[0, 0])
+    return float(_eta_grid(optical, geometry, zx, zy, theta_linear)[0, 0])
 
 
 def conditional_coverage(eta_value, mu, sigma1):
@@ -146,17 +145,16 @@ def coverage_at(
     pos,
     theta_linear: float,
     sums: str = "series",
-    jl: tuple[int, int] = (1, 1),
-    trunc: int | None = None,
 ) -> ConditionalCoverage:
     """Conditional coverage P[gamma(z) > theta | z] at one position.
 
     ``sums`` selects how the moment sums are evaluated: "series" (closed
-    form, default) or "brute" (truncated direct summation).
+    form over ``moment_sums``' default mode window) or "brute" (direct
+    summation out to ``geometry.trunc`` rings).
     """
     zx, zy = position_xy(pos)
     e, mu, sigma1, mass = _node_coverage(
-        optical, geometry, p, [zx], [zy], theta_linear, sums, jl, trunc
+        optical, geometry, p, [zx], [zy], theta_linear, sums
     )
     return ConditionalCoverage(
         eta=float(e[0, 0]), mu=float(mu[0]), sigma1=float(sigma1[0]), value=float(mass[0, 0])
@@ -204,15 +202,13 @@ def _node_coverage(
     zy,
     theta_linear,
     sums: str,
-    jl: tuple[int, int],
-    trunc: int | None,
 ):
     """(eta, mu, sigma1, mass) at the nodes (zx, zy): eta and the Gaussian
     mass over a (threshold, node) grid, mu and sigma1 per node."""
     p = _check_p(p)
     consts = DerivedConstants.from_configs(optical, geometry)
     eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
-    s_m, s_v = moment_sums(geometry, (consts.beta, 2.0 * consts.beta), zx, zy, sums, jl, trunc)
+    s_m, s_v = moment_sums(geometry, (consts.beta, 2.0 * consts.beta), zx, zy, sums)
     mu = p * s_m
     sigma1 = np.sqrt(p * (1.0 - p) * s_v)
     return eta_grid, mu, sigma1, conditional_coverage(eta_grid, mu[None, :], sigma1[None, :])
@@ -226,14 +222,9 @@ def _spatial_values(
     quad_order: int,
     sums: str,
     use_symmetry: bool,
-    jl: tuple[int, int],
-    trunc: int | None,
 ) -> np.ndarray:
-    if use_symmetry and sums == "series" and jl[0] != jl[1]:
-        # swap symmetry requires a square mode window
-        use_symmetry = False
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
-    mass = _node_coverage(optical, geometry, p, zx, zy, theta_linear, sums, jl, trunc)[3]
+    mass = _node_coverage(optical, geometry, p, zx, zy, theta_linear, sums)[3]
     return np.clip(mass @ wq, 0.0, 1.0)
 
 
@@ -245,12 +236,10 @@ def coverage_spatial(
     quad_order: int = 32,
     sums: str = "series",
     use_symmetry: bool = True,
-    jl: tuple[int, int] = (1, 1),
-    trunc: int | None = None,
 ) -> float:
     """Coverage probability averaged over the attocell at one threshold."""
     values = _spatial_values(
-        optical, geometry, p, float(theta_linear), quad_order, sums, use_symmetry, jl, trunc
+        optical, geometry, p, float(theta_linear), quad_order, sums, use_symmetry
     )
     return float(values[0])
 
@@ -262,8 +251,6 @@ class CoverageCurve:
     theta_db: np.ndarray
     theta_linear: np.ndarray
     values: np.ndarray
-    method: str
-    config: dict = field(default_factory=dict)
     stderr: np.ndarray | None = None
 
     def __post_init__(self):
@@ -275,18 +262,6 @@ class CoverageCurve:
             raise ValueError("stderr must match the grid shape")
 
 
-def _curve_config(
-    optical: OpticalConfig, geometry: NetworkGeometry, p: float, **extra
-) -> dict:
-    cfg = {
-        "optical": vars(optical).copy(),
-        "geometry": {"pitch": geometry.pitch, "height": geometry.height, "trunc": geometry.trunc},
-        "p": p,
-    }
-    cfg.update(extra)
-    return cfg
-
-
 def coverage_curve(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
@@ -295,8 +270,6 @@ def coverage_curve(
     quad_order: int = 32,
     sums: str = "series",
     use_symmetry: bool = True,
-    jl: tuple[int, int] = (1, 1),
-    trunc: int | None = None,
 ) -> CoverageCurve:
     """Spatially averaged coverage over a threshold grid (dB).
 
@@ -308,22 +281,12 @@ def coverage_curve(
     theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
     theta_lin = db_to_linear(theta_db)
     values = _spatial_values(
-        optical, geometry, p, theta_lin, quad_order, sums, use_symmetry, jl, trunc
+        optical, geometry, p, theta_lin, quad_order, sums, use_symmetry
     )
     return CoverageCurve(
         theta_db=theta_db,
         theta_linear=theta_lin,
         values=values,
-        method=f"analytic-{sums}",
-        config=_curve_config(
-            optical,
-            geometry,
-            p,
-            quad_order=quad_order,
-            sums=sums,
-            use_symmetry=bool(use_symmetry),
-            jl=list(jl),
-        ),
     )
 
 

@@ -6,16 +6,16 @@ Every moment of the thinned interference has the shape
 
 with e = beta for the mean sum S_m, e = 2 beta for the variance sum S_v
 and, in general, e = k beta for the k-th cumulant.  ``moment_sums(geometry,
-exponents, zx, zy, sums=..., jl=..., trunc=...)`` evaluates S at every
+exponents, zx, zy, sums=..., jl=...)`` evaluates S at every
 exponent and every node, as an array of shape (len(exponents), len(zx)).
 It is the one place that picks the evaluator:
 
-* ``sums="brute"`` -- direct summation over a truncated window
-  |u|, |v| <= trunc (``sm_brute`` per node and exponent), accumulated in
-  ascending |u|+|v| rings whose subtotals are combined by ``math.fsum``
-  (correctly rounded); the terms span ~13 decades between the nearest and
-  farthest sites.  ``sm_brute`` also attaches an analytic bound on the
-  omitted mass.
+* ``sums="brute"`` -- direct summation over the truncated window
+  |u|, |v| <= ``geometry.trunc`` (``sm_brute`` per node and exponent),
+  accumulated in ascending |u|+|v| rings whose subtotals are combined by
+  ``math.fsum`` (correctly rounded); the terms span ~13 decades between the
+  nearest and farthest sites.  ``sm_brute`` also attaches an analytic bound
+  on the omitted mass.
 
 * ``sums="series"`` -- the closed form obtained by Poisson summation over
   the dual lattice, vectorized over the nodes:
@@ -174,7 +174,6 @@ def moment_sums(
     zy,
     sums: str = "series",
     jl: tuple[int, int] = (1, 1),
-    trunc: int | None = None,
 ) -> np.ndarray:
     """S(e) for every exponent at every node (zx[i], zy[i]), as an array of
     shape (len(exponents), len(zx)).
@@ -182,9 +181,8 @@ def moment_sums(
     ``sums="series"`` evaluates the dual-lattice closed form over the mode
     window jl = (j, l), i.e. [0, j] x [0, l] minus the origin; (1, 1) is
     ample for h/a >= 3 and (0, 0) keeps only the integral and self terms.
-    ``sums="brute"`` sums the lattice directly out to ``trunc`` rings
-    (default ``geometry.trunc``), one ``sm_brute`` call per node and
-    exponent.
+    ``sums="brute"`` sums the lattice directly out to ``geometry.trunc``
+    rings, one ``sm_brute`` call per node and exponent.
     """
     exponents = [_check_exponent(e) for e in exponents]
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
@@ -198,7 +196,7 @@ def moment_sums(
         return np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
     if sums == "brute":
         return np.array(
-            [[sm_brute(geometry, e, (x, y), trunc).value for x, y in zip(zx, zy)] for e in exponents]
+            [[sm_brute(geometry, e, (x, y)).value for x, y in zip(zx, zy)] for e in exponents]
         )
     raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")
 

@@ -49,12 +49,16 @@ def gamma(x: float) -> float:
     """Euler gamma function for x > 0 (``math.gamma``).
 
     Only positive arguments are supported (the series prefactors never need
-    the poles); x <= 0 or non-finite input raises ``ValueError``.
+    the poles); x <= 0, non-finite input or x past ~171.6, where the value
+    overflows a double, raises ``ValueError``.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma: argument must be finite and > 0, got {x!r}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ValueError(f"gamma: argument {x!r} overflows a double (limit ~171.6)") from None
 
 
 # Maclaurin coefficients of 1/Gamma(1+x) (Abramowitz & Stegun 6.1.34); the

@@ -14,12 +14,13 @@ from attocell.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    _FIELDS,
     ConfigError,
     RunConfig,
     load_config,
     main,
 )
-from attocell.model import OpticalConfig
+from attocell.model import DerivedConstants, OpticalConfig, tail_bound
 
 TINY_INI = """\
 [geometry]
@@ -125,9 +126,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "nope.ini"))
 
-    def test_every_field_round_trips(self, tmp_path):
-        # one non-default value per field, through the manifest sections and
-        # through an INI file
+    def test_every_field_round_trips(self, tmp_path, monkeypatch):
+        # one non-default value per field, through the manifest sections,
+        # through an INI file and, for every field that has a flag, through
+        # the sweep flags
         cfg = RunConfig(
             optical=OpticalConfig(
                 power=2.0, pd_area=2e-4, responsivity=0.3,
@@ -167,6 +169,16 @@ class TestLoadConfig:
         ini = tmp_path / "run.ini"
         ini.write_text("\n".join(lines) + "\n")
         assert load_config(str(ini)) == cfg
+
+        flagged = [f for f in _FIELDS if f.flag]
+        argv = ["sweep"]
+        for f in flagged:
+            v = f.get(cfg)
+            argv += [f.flag.name, ",".join(map(str, v)) if isinstance(v, tuple) else str(v)]
+        seen = []
+        monkeypatch.setattr("attocell.cli.run_sweep", lambda c: seen.append(c) or EXIT_OK)
+        assert main(argv) == EXIT_OK
+        assert {f.key: f.get(seen[0]) for f in flagged} == {f.key: f.get(cfg) for f in flagged}
 
     def test_readme_example_loads_as_defaults(self, tmp_path):
         # the INI block in README.md, inline "; unit" comments included,
@@ -248,6 +260,10 @@ class TestSweep:
         assert "max_abs_diff_analytic_vs_montecarlo" in data
         assert set(data["max_abs_diff_analytic_vs_montecarlo"]) == {"p0.3_h1.5", "p0.8_h1.5"}
         assert data["max_abs_diff_overall"] >= 0.0
+        cfg = load_config(str(tiny_config))
+        geometry = cfg.geometry(1.5)
+        beta = DerivedConstants.from_configs(cfg.optical, geometry).beta
+        assert data["montecarlo_tail_bound"] == {"h1.5": tail_bound(geometry, beta, cfg.mc_trunc)}
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -259,6 +275,58 @@ class TestSweep:
         blocker.write_text("x")
         code = run_cli("sweep", "--config", str(tiny_config), "--out", str(blocker / "sub"))
         assert code == EXIT_IO
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("sums", {"--config", "--trunc", "--pos", "--jl", "--height"}),
+            (
+                "validate",
+                {"--config", "--seed", "--trials", "--mc-quad-order", "--mc-trunc", "--jobs",
+                 "--heights", "--p", "--budget"},
+            ),
+            (
+                "sweep",
+                {"--config", "--seed", "--trials", "--quad-order", "--mc-quad-order", "--trunc",
+                 "--mc-trunc", "--jobs", "--heights", "--p", "--out", "--methods"},
+            ),
+        ],
+    )
+    def test_help_lists_the_flags_read(self, capsys, command, flags):
+        assert run_cli(command, "--help") == EXIT_OK
+        listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+        assert listed == flags
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sums", "--seed", "1"),
+            ("sums", "--p", "0.5"),
+            ("sums", "--heights", "2"),
+            ("validate", "--quad-order", "8"),
+            ("validate", "--trunc", "10"),
+        ],
+    )
+    def test_unread_flag_rejected(self, tiny_config, capsys, argv):
+        command, *flag = argv
+        assert run_cli(command, "--config", str(tiny_config), *flag) == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_usage_error_exits_config(self):
+        # exit 2 belongs to a failed validate
+        assert run_cli("sweep", "--trials", "abc") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["sums", "sweep"])
+    def test_gamma_overflow_is_an_error(self, tmp_path, capsys, command):
+        # a 5 degree beam gives beta = 184.8, past where Gamma overflows
+        narrow = tmp_path / "narrow.ini"
+        narrow.write_text("[optical]\nhalf_angle = 0.0872664626\n")
+        extra = ["--out", str(tmp_path / "o")] if command == "sweep" else []
+        assert run_cli(command, "--config", str(narrow), *extra) == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "gamma: argument 184.8" in errors[0]
 
 
 class TestSums:

@@ -216,16 +216,13 @@ class TestCoverageCurve:
         curve = coverage_curve(optics, geometry, 0.3, grid, quad_order=8)
         assert curve.theta_db.shape == curve.theta_linear.shape == curve.values.shape
         assert np.all((curve.values >= 0) & (curve.values <= 1))
-        assert curve.method == "analytic-series"
-        assert curve.config["p"] == 0.3
-        assert curve.config["geometry"]["height"] == geometry.height
 
     def test_curve_invariants_enforced(self):
         grid = np.array([0.0, 1.0])
         with pytest.raises(ValueError):
-            CoverageCurve(grid, db_to_linear(grid), np.array([0.5]), "analytic-series")
+            CoverageCurve(grid, db_to_linear(grid), np.array([0.5]))
         with pytest.raises(ValueError):
-            CoverageCurve(grid, db_to_linear(grid), np.array([0.5, 1.5]), "analytic-series")
+            CoverageCurve(grid, db_to_linear(grid), np.array([0.5, 1.5]))
 
     def test_threshold_crossing(self, optics, geometry):
         grid = np.arange(-12.0, 0.25, 0.25)

@@ -92,6 +92,11 @@ class TestGamma:
         with pytest.raises(ValueError):
             specfun.gamma(bad)
 
+    def test_overflow_names_argument(self):
+        # math.gamma overflows a double past x ~ 171.6
+        with pytest.raises(ValueError, match="172.0"):
+            specfun.gamma(172.0)
+
 
 class TestBesselK:
     def test_half_integer_closed_form(self):
