@@ -45,6 +45,7 @@ from .coverage import CoverageCurve, coverage_curve, db_to_linear
 from .lattice_sums import series_mode_terms, sm_brute, sm_series, sv_brute, sv_series
 from .model import DerivedConstants, NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS
 from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
+from .specfun import gamma
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -199,7 +200,10 @@ class RunConfig:
         "--jobs", int, "worker processes for Monte Carlo nodes", _CURVES))
     out_dir: str = _setting("output", "attocell_out", str, flag=_Flag("--out", str, "output directory"))
 
-    def validate(self) -> None:
+    def validate(self, series: bool = True) -> None:
+        """Check every field; with ``series``, also that the dual-lattice
+        series can be evaluated, which needs Gamma(beta) and Gamma(2 beta)
+        in a double."""
         for f in _FIELDS:
             for check in f.checks:
                 problem = check(f.get(self))
@@ -207,6 +211,15 @@ class RunConfig:
                     raise ConfigError(f"{f.section}.{f.key}: {problem}")
         if self.theta_db_stop < self.theta_db_start:
             raise ConfigError("sweep.theta_db_stop: must be >= theta_db_start")
+        if series:
+            beta = DerivedConstants.from_configs(self.optical, self.geometry(self.heights[0])).beta
+            try:
+                gamma(beta), gamma(2.0 * beta)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"optical.half_angle: {self.optical.half_angle!r} gives beta = {beta:g}, "
+                    f"too narrow a beam for the series ({exc})"
+                ) from None
 
     def theta_db_grid(self) -> np.ndarray:
         n = int(math.floor((self.theta_db_stop - self.theta_db_start) / self.theta_db_step + 1e-9)) + 1
@@ -388,7 +401,7 @@ def _montecarlo_curves(cfg: RunConfig, height: float) -> tuple[dict[float, Cover
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    cfg.validate()
+    cfg.validate(series="analytic" in cfg.methods)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

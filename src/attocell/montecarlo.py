@@ -18,20 +18,29 @@ All randomness comes from counter-based Philox streams derived as
 gives quadrature node ``i`` its own ``stream(seed, i)``, so node workers can
 run in any order (or in parallel) and still produce bit-identical results.
 Within a stream, trials are consumed in fixed row-major blocks; the block
-size does not change the sequence.  Uniform variates are drawn as float32
-(granularity 2^-24, a negligible Bernoulli bias) and one uniform per site
-is shared across the whole ``p`` grid, so thinning realizations are coupled
-by common random numbers: raising p can only add interferers, making
-realization-wise monotonicity in p exact.  Coverage tallies are integer
-counts, never floating accumulations.
+size does not change the sequence.  Each (trial, site) reads one 32-bit
+word r of the stream's raw 64-bit output, low half first, which is the
+word Philox hands to a float32 draw.  That draw would be the uniform
+u = (r >> 8) 2^-24 (granularity 2^-24, a negligible Bernoulli bias), and
+u < float32(p) holds exactly when r < ceil(float32(p) 2^24) 2^8, so the
+site is compared in integers and the decisions, and the stream state
+after them, are those of ``random(dtype=float32) < float32(p)``.  One word
+per site is shared across the whole ``p`` grid, so thinning realizations
+are coupled by common random numbers: raising p can only add interferers,
+making realization-wise monotonicity in p exact.  Coverage tallies are
+integer counts, never floating accumulations.
 
 C itself is summed from exact fixed-point weights: each w_i is rounded
-once to an integer multiple of 2^-k, held in float64, with k chosen so the
-integer weights sum to at most 2^53.  Every partial sum of a 0/1 mask
-against them is then an exact float64 integer, so the order of summation
-cannot matter: any BLAS kernel, block shape, thread count or FMA gives the
-same C.  The rounding moves C by at most n * 2^-53 * S_m for n sites (to
-first order), where S_m = sum_i w_i over the sampled lattice.
+once to an integer multiple of 2^-k, with k chosen so the integer weights
+sum to at most 2^53.  For n sites the integers are split into float32
+limbs of 24 - bit_length(n) bits each, so every sum of a 0/1 mask against
+one limb stays below 2^24 and is an exact float32 integer; the limb sums
+are recombined in int64 and scaled by 2^-k.  No rounding happens after
+the weights', so the order of summation cannot matter: any BLAS kernel,
+block shape, thread count or FMA gives the same C, equal bit for bit to
+the float64 sum of the fixed-point weights.  The rounding moves C by at
+most n * 2^-53 * S_m for n sites (to first order), where S_m = sum_i w_i
+over the sampled lattice.
 """
 
 from __future__ import annotations
@@ -66,6 +75,9 @@ __all__ = [
 ]
 
 _DEFAULT_BLOCK = 1024
+# trials of a block drawn, compared and summed at once: keeps the words and
+# the mask in cache
+_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -123,21 +135,61 @@ def _fixed_point_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
         shift -= 1
 
 
+def _limbs(w_int: np.ndarray) -> tuple[np.ndarray, int]:
+    """The fixed-point integers ``w_int`` split into float32 columns of
+    ``bits`` bits each, least significant first, as (limbs, bits).
+
+    With ``bits = 24 - n.bit_length()`` for n sites, every sum of a 0/1
+    mask against one column stays below 2^24, so ``mask @ limbs`` is exact
+    in float32 (see module docstring).
+    """
+    bits = 24 - w_int.size.bit_length()
+    ints = w_int.astype(np.int64)
+    count = max(1, -(-int(ints.max()).bit_length() // bits))
+    columns = [(ints >> (bits * j)) & ((1 << bits) - 1) for j in range(count)]
+    return np.stack(columns, axis=1).astype(np.float32), bits
+
+
 def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int, block: int):
     """Yield, for each block of up to ``block`` trials, C under every p in
-    ``p_list`` (one array per p).  One float32 uniform per (trial, site) is
-    drawn once and shared across the p grid, and the sites with u < p
-    transmit; C is summed from the fixed-point form of the weights ``w``.
-    Raises ``ValueError`` before any draw unless ``block >= 1``."""
+    ``p_list`` (one array per p).  One 32-bit Philox word per (trial, site)
+    is drawn once and shared across the p grid, and a site transmits when
+    its word falls below the cut of p; C is summed from the float32 limbs
+    of the fixed-point form of the weights ``w`` (see module docstring).
+    Raises ``ValueError`` before any draw unless ``block >= 1``, the site
+    count is even and below 2^23, and ``rng`` is a Philox generator with no
+    buffered 32-bit half."""
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block!r}")
+    n = w.size
+    if n % 2 or n >= 2**23:
+        raise ValueError(f"site count must be even and below 2^23, got {n}")
+    state = rng.bit_generator.state
+    if state["bit_generator"] != "Philox" or state["has_uint32"]:
+        raise ValueError("rng must be a Philox generator with no buffered 32-bit half")
     w_int, shift = _fixed_point_weights(w)
-    p32 = [np.float32(p) for p in p_list]
+    limbs, bits = _limbs(w_int)
+    place = bits * np.arange(limbs.shape[1])
+    # u = (r >> 8) 2^-24 < float32(p)  <=>  r < ceil(float32(p) 2^24) 2^8
+    cuts = [math.ceil(float(np.float32(p)) * 2**24) << 8 for p in p_list]
+    mask = np.empty((min(block, trials, _SLICE), n), dtype=np.float32)
     done = 0
     while done < trials:
         b = min(block, trials - done)
-        u = rng.random((b, w_int.size), dtype=np.float32)
-        yield [np.ldexp(np.asarray(u < p, dtype=float) @ w_int, -shift) for p in p32]
+        sums = np.empty((len(cuts), b, limbs.shape[1]), dtype=np.float32)
+        for i in range(0, b, _SLICE):
+            rows = min(_SLICE, b - i)
+            # little-endian: the low half of each 64-bit word comes first
+            raw = rng.bit_generator.random_raw(rows * n // 2)
+            r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)
+            m = mask[:rows]
+            for k, cut in enumerate(cuts):
+                if cut < 2**32:
+                    np.less(r, cut, out=m)
+                else:  # float32(p) == 1: every word is below the cut
+                    m.fill(1.0)
+                np.matmul(m, limbs, out=sums[k, i : i + rows])
+        yield [np.ldexp((s.astype(np.int64) << place).sum(axis=1).astype(float), -shift) for s in sums]
         done += b
 
 
@@ -150,7 +202,11 @@ def interference_samples(
     rng: np.random.Generator | None = None,
     block: int = _DEFAULT_BLOCK,
 ) -> np.ndarray:
-    """``trials`` iid realizations of C as a float64 array."""
+    """``trials`` iid realizations of C as a float64 array.
+
+    ``rng`` must be a Philox generator with no buffered 32-bit half (as
+    ``substream`` returns it); anything else raises ``ValueError``.
+    """
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -204,8 +260,8 @@ def _node_counts(
     """Coverage counts (len(p_list), len(eta_row)) for one quadrature node,
     sampling the lattice truncated at ``geometry.trunc``.
 
-    One float32 uniform per (trial, site) is shared across the whole p
-    grid (common random numbers); C is summed from fixed-point weights.
+    One 32-bit word per (trial, site) is shared across the whole p grid
+    (common random numbers); C is summed from fixed-point weights.
     """
     w = interference_weights(geometry, beta, (zx, zy))
     counts = np.zeros((len(p_list), eta_row.size), dtype=np.int64)

@@ -328,6 +328,37 @@ class TestFlags:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "gamma: argument 184.8" in errors[0]
 
+    @pytest.mark.parametrize(
+        "command,half_angle",
+        [
+            ("sums", 0.0872664626),
+            ("validate", 0.0872664626),
+            ("sweep", 0.0872664626),
+            # beta = 102.3: Gamma(beta) fits a double, Gamma(2 beta) does not
+            ("sums", 0.118),
+        ],
+    )
+    def test_narrow_beam_rejected_before_output(self, tiny_config, tmp_path, capsys, command, half_angle):
+        narrow = tmp_path / "narrow.ini"
+        narrow.write_text(tiny_config.read_text() + f"\n[optical]\nhalf_angle = {half_angle}\n")
+        out = tmp_path / "o"
+        extra = ["--out", str(out)] if command == "sweep" else []
+        assert run_cli(command, "--config", str(narrow), *extra) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err.startswith("error: optical.half_angle: ")
+
+    def test_narrow_beam_brute_sweep_runs(self, tiny_config, tmp_path):
+        # brute-force sums need no Gamma, so a 5 degree beam still sweeps
+        narrow = tmp_path / "narrow.ini"
+        narrow.write_text(tiny_config.read_text() + "\n[optical]\nhalf_angle = 0.0872664626\n")
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", str(narrow), "--methods", "brute", "--out", str(out)) == EXIT_OK
+        for name in json.loads((out / "manifest.json").read_text())["outputs"]:
+            values = np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=2)
+            assert np.all((values >= 0.0) & (values <= 1.0))
+
 
 class TestSums:
     def test_report_contents(self, tiny_config, capsys):

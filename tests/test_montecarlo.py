@@ -1,6 +1,10 @@
 """Stochastic oracle: sampling, reproducibility, moment and coupling checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +26,22 @@ from attocell import (
 import attocell.montecarlo
 from attocell.coverage import attocell_quadrature
 from attocell.model import interference_weights
-from attocell.montecarlo import _node_counts, substream
+from attocell.montecarlo import _DEFAULT_BLOCK, _fixed_point_weights, _node_counts, _thinned_sums, substream
 
 BETA = 4.0
+# float32(1 - 1e-9) == 1, so the last two both give every site
+P_GRID = (0.0, 1e-12, 0.3, 0.5, 0.8, 1 - 1e-9, 1.0)
+
+
+def _reference_sums(rng, w, p_list, trials, block):
+    """C under every p by float32 uniforms, u < float32(p), and a float64
+    matvec against the fixed-point weights, block by block."""
+    w_int, shift = _fixed_point_weights(w)
+    blocks = []
+    for start in range(0, trials, block):
+        u = rng.random((min(block, trials - start), w.size), dtype=np.float32)
+        blocks.append([np.ldexp(np.asarray(u < np.float32(p), dtype=float) @ w_int, -shift) for p in p_list])
+    return [np.concatenate(c) for c in zip(*blocks)]
 
 
 class TestThinningModel:
@@ -101,6 +118,74 @@ class TestSampling:
         expected = 0.5 * sm_brute(small_geometry, BETA, (0.0, 0.0)).value
         stderr = s.std(ddof=1) / math.sqrt(s.size)
         assert abs(s.mean() - expected) <= 4 * stderr
+
+
+class TestDraws:
+    """The 32-bit words and float32 limbs give the decisions and C of
+    float32 uniforms and a float64 matvec, bit for bit."""
+
+    @pytest.mark.parametrize("block", [64, _DEFAULT_BLOCK])
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_samples_match_reference(self, small_geometry, block, p):
+        # 1100 trials: a partial last block at either block size
+        pos = (0.1, -0.05)
+        rng, ref = substream(6, 1), substream(6, 1)
+        got = interference_samples(ThinningModel(p=p, seed=6), small_geometry, BETA, pos, 1100, rng=rng, block=block)
+        w = interference_weights(small_geometry, BETA, pos)
+        (want,) = _reference_sums(ref, w, (p,), 1100, block)
+        assert np.array_equal(got, want)
+        # the stream is left where the reference leaves it
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("block", [64, _DEFAULT_BLOCK])
+    def test_node_counts_match_reference(self, small_geometry, block):
+        zx, zy = 0.15, 0.05
+        w = interference_weights(small_geometry, BETA, (zx, zy))
+        want = _reference_sums(substream(9, 2), w, P_GRID, 1100, block)
+        # thresholds on realized values of C: one moved sum moves a count
+        eta_row = np.concatenate([[0.0, 1.0], want[2][::50], want[4][::50]])
+        counts = _node_counts(small_geometry, BETA, P_GRID, 1100, block, 9, 2, zx, zy, eta_row)
+        for k, c in enumerate(want):
+            assert np.array_equal(counts[k], (c[:, None] < eta_row[None, :]).sum(axis=0))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: substream(5), id="philox-half-word-pending"),
+            pytest.param(lambda: np.random.Generator(np.random.PCG64(5)), id="pcg64"),
+        ],
+    )
+    def test_generator_checked_before_any_draw(self, small_geometry, make):
+        rng, twin = make(), make()
+        rng.random(dtype=np.float32), twin.random(dtype=np.float32)
+        model = ThinningModel(p=0.5, seed=5)
+        with pytest.raises(ValueError, match="Philox"):
+            interference_samples(model, small_geometry, BETA, (0.0, 0.0), 10, rng=rng)
+        assert np.array_equal(rng.random(4), twin.random(4))
+
+    @pytest.mark.parametrize("sites", [3, 2**23])
+    def test_site_count_checked_before_any_draw(self, sites):
+        # an odd count splits a 64-bit word; 2^23 sites leave no limb bits
+        rng = substream(5)
+        with pytest.raises(ValueError, match="site count"):
+            next(_thinned_sums(rng, np.broadcast_to(1.0, sites), (0.5,), 10, 64))
+        assert np.array_equal(rng.random(4), substream(5).random(4))
+
+    def test_independent_of_blas_threads(self, small_geometry):
+        # the float32 limb sums are exact, so one BLAS thread gives the
+        # same C as the default thread count
+        src = Path(attocell.__file__).resolve().parents[1]
+        code = (
+            "import sys; from attocell import NetworkGeometry, ThinningModel, interference_samples\n"
+            "g = NetworkGeometry(pitch=0.5, height=1.5, trunc=15)\n"
+            "c = interference_samples(ThinningModel(p=0.5, seed=12), g, 4.0, (0.1, 0.2), 1100)\n"
+            "sys.stdout.buffer.write(c.tobytes())\n"
+        )
+        path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        here = interference_samples(ThinningModel(p=0.5, seed=12), small_geometry, BETA, (0.1, 0.2), 1100)
+        assert np.array_equal(np.frombuffer(child.stdout, dtype=np.float64), here)
 
 
 class TestMoments:
