@@ -14,8 +14,11 @@ It is the one place that picks the evaluator:
   |u|, |v| <= ``geometry.trunc`` (``sm_brute`` per node and exponent),
   accumulated in ascending |u|+|v| rings whose subtotals are combined by
   ``math.fsum`` (correctly rounded); the terms span ~13 decades between the
-  nearest and farthest sites.  ``sm_brute`` also attaches an analytic bound
-  on the omitted mass.
+  nearest and farthest sites.  The site coordinates are cached per
+  truncation as read-only float64 columns already sorted into ring order,
+  so a call computes its terms straight into ring order and gathers
+  nothing.  ``sm_brute`` also attaches an analytic bound on the omitted
+  mass.
 
 * ``sums="series"`` -- the closed form obtained by Poisson summation over
   the dual lattice, vectorized over the nodes:
@@ -37,7 +40,10 @@ It is the one place that picks the evaluator:
   comparison confirms the halved axis weight to ~1e-10 relative, while a
   uniform weight of 1 misses by ~1e-5 (S_m) to ~6e-4 (S_v) at h/a = 3; see
   VALIDATION.md.  ``series_mode_terms`` reports each mode's uniform-weight
-  value next to the weighted contribution, for diagnostics.
+  value next to the weighted contribution, for diagnostics.  A series
+  value <= 0 or non-finite raises ``ValueError``: S(e) sums positive
+  terms, so the mode window is far too small there (a narrow beam or a low
+  mounting) and brute force is the remedy.
 
 ``sm_brute`` / ``sv_brute`` and ``sm_series`` / ``sv_series`` are the
 per-position forms (exponent beta and 2 beta) returning a ``SumResult``.
@@ -55,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NetworkGeometry, interference_weights, lattice_sites, position_xy, tail_bound
+from .model import NetworkGeometry, _site_columns, _site_weights, position_xy, tail_bound
 from .specfun import bessel_k, gamma
 
 __all__ = [
@@ -79,24 +85,25 @@ class SumResult:
 
 
 @lru_cache(maxsize=8)
-def _ring_order(trunc: int):
-    """Site indices sorted by ascending ring |u|+|v| plus the boundaries of
-    each ring group, for reduceat."""
-    sites = lattice_sites(trunc)
-    rings = np.abs(sites[:, 0]) + np.abs(sites[:, 1])
+def _ring_sites(trunc: int):
+    """Site coordinates u, v as contiguous read-only float64 columns, sorted
+    stably from ``lattice_sites`` order by ascending ring |u|+|v|, and the
+    start of each ring for reduceat."""
+    u, v = _site_columns(trunc)
+    rings = np.abs(u) + np.abs(v)
     order = np.argsort(rings, kind="stable")
-    sorted_rings = rings[order]
-    boundaries = np.flatnonzero(np.diff(sorted_rings)) + 1
-    starts = np.concatenate([[0], boundaries])
-    order.setflags(write=False)
-    starts.setflags(write=False)
-    return order, starts
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(rings[order])) + 1])
+    u = u[order]
+    v = v[order]
+    for column in (u, v, starts):
+        column.setflags(write=False)
+    return u, v, starts
 
 
 def _brute_value(geometry: NetworkGeometry, exponent: float, zx: float, zy: float, trunc: int) -> float:
-    order, starts = _ring_order(trunc)
-    terms = interference_weights(geometry, exponent, (zx, zy), trunc)[order]
-    return math.fsum(np.add.reduceat(terms, starts))
+    u, v, starts = _ring_sites(trunc)
+    terms = _site_weights(geometry, exponent, zx, zy, u, v)
+    return math.fsum(np.add.reduceat(terms, starts).tolist())
 
 
 def _check_exponent(exponent: float) -> float:
@@ -167,6 +174,20 @@ def _check_jl(jl) -> tuple[int, int]:
     return j, l
 
 
+def _check_series(geometry: NetworkGeometry, exponents, zx, zy, jl, values) -> None:
+    """S(e) sums positive terms, so a series value <= 0 or non-finite means
+    the mode window jl is far too small there: raise rather than return it."""
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        k, i = (int(n[0]) for n in np.nonzero(bad))
+        raise ValueError(
+            f"series sum S(e) at exponent e = {exponents[k]:.6g} is {values[k, i]:.3e} at node "
+            f"({zx[i]:.6g}, {zy[i]:.6g}) with h/a = {geometry.height / geometry.pitch:.6g} and "
+            f"mode window jl = ({jl[0]}, {jl[1]}); the series has not converged there, use "
+            f'sums="brute" (--methods brute) instead'
+        )
+
+
 def moment_sums(
     geometry: NetworkGeometry,
     exponents,
@@ -193,7 +214,9 @@ def moment_sums(
         )
     if sums == "series":
         jl = _check_jl(jl)
-        return np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
+        values = np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
+        _check_series(geometry, exponents, zx, zy, jl, values)
+        return values
     if sums == "brute":
         return np.array(
             [[sm_brute(geometry, e, (x, y)).value for x, y in zip(zx, zy)] for e in exponents]

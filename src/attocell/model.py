@@ -175,15 +175,20 @@ def channel_gain(consts: DerivedConstants, geometry: NetworkGeometry, d_horiz: f
 
 
 @lru_cache(maxsize=8)
-def _sites_cached(trunc: int):
-    rng = np.arange(-trunc, trunc + 1)
+def _site_columns(trunc: int):
+    """Site coordinates u and v in ``lattice_sites`` order, as contiguous
+    read-only float64 columns: the form every weight computation reads."""
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc!r}")
+    rng = np.arange(-trunc, trunc + 1, dtype=np.float64)
     u, v = np.meshgrid(rng, rng, indexing="ij")
-    u = u.ravel()
-    v = v.ravel()
     keep = ~((u == 0) & (v == 0))
-    sites = np.column_stack([u[keep], v[keep]]).astype(np.int64)
-    sites.setflags(write=False)
-    return sites
+    u = u[keep]
+    v = v[keep]
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u, v
+
 
 def lattice_sites(trunc: int) -> np.ndarray:
     """Interferer lattice indices (u, v), |u|,|v| <= trunc, origin excluded.
@@ -192,22 +197,43 @@ def lattice_sites(trunc: int) -> np.ndarray:
     order (u slow, v fast).  This ordering is the contract for every
     thinning realization: ``alphas[i]`` refers to ``lattice_sites(trunc)[i]``.
     """
-    trunc = int(trunc)
-    if trunc < 1:
-        raise ValueError(f"trunc must be >= 1, got {trunc!r}")
-    return _sites_cached(trunc)
+    sites = np.column_stack(_site_columns(int(trunc))).astype(np.int64)
+    sites.setflags(write=False)
+    return sites
+
+
+def _distance_sq(a: float, zx: float, zy: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(u a + z_x)^2 + (v a + z_y)^2 per site of the columns u, v, as a fresh
+    array; one temporary besides it."""
+    d2 = u * a
+    d2 += zx
+    d2 *= d2
+    dy = v * a
+    dy += zy
+    dy *= dy
+    d2 += dy
+    return d2
+
+
+def _site_weights(
+    geometry: NetworkGeometry, exponent: float, zx: float, zy: float, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """(D^2 + h^2)^(-exponent) per site of the coordinate columns u, v, in
+    their order, as a fresh array; the one home of the weight formula."""
+    w = _distance_sq(geometry.pitch, zx, zy, u, v)
+    w += geometry.height**2
+    return np.power(w, -float(exponent), out=w)
+
+
+def _columns(geometry: NetworkGeometry, trunc: int | None):
+    return _site_columns(geometry.trunc if trunc is None else int(trunc))
 
 
 def interferer_distance_sq(geometry: NetworkGeometry, pos, trunc: int | None = None) -> np.ndarray:
     """Squared horizontal PD-to-LED distances D_i^2 = (u a + z_x)^2 +
     (v a + z_y)^2 over the truncated lattice, in ``lattice_sites`` order."""
     zx, zy = position_xy(pos)
-    t = geometry.trunc if trunc is None else int(trunc)
-    sites = lattice_sites(t)
-    a = geometry.pitch
-    dx = sites[:, 0] * a + zx
-    dy = sites[:, 1] * a + zy
-    return dx * dx + dy * dy
+    return _distance_sq(geometry.pitch, zx, zy, *_columns(geometry, trunc))
 
 
 def interference_weights(
@@ -216,8 +242,8 @@ def interference_weights(
     """Per-site weights (D_i^2 + h^2)^(-exponent) in ``lattice_sites``
     order; with exponent beta they are the interferers' squared gains
     over K^2."""
-    d2 = interferer_distance_sq(geometry, pos, trunc)
-    return (d2 + geometry.height**2) ** (-float(exponent))
+    zx, zy = position_xy(pos)
+    return _site_weights(geometry, exponent, zx, zy, *_columns(geometry, trunc))
 
 
 def sinr(

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,31 @@ class TestFlags:
         for name in json.loads((out / "manifest.json").read_text())["outputs"]:
             values = np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=2)
             assert np.all((values >= 0.0) & (values <= 1.0))
+
+    @pytest.mark.parametrize(
+        "command,ini,extra",
+        [
+            # beta = 84.8: the default window gives S_m = -4.85e-32
+            ("sums", "\n[optical]\nhalf_angle = 0.13\n", []),
+            # h/a = 1: S_v < 0 at nodes near the centre
+            ("sweep", "", ["--heights", "0.5", "--quad-order", "32"]),
+        ],
+    )
+    def test_non_positive_series_is_an_error(self, tiny_config, tmp_path, capsys, command, ini, extra):
+        config = tmp_path / "case.ini"
+        config.write_text(tiny_config.read_text() + ini)
+        out = ["--out", str(tmp_path / "o")] if command == "sweep" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(command, "--config", str(config), *extra, *out)
+        assert code == EXIT_CONFIG
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert not re.search(r"^S_[mv] ", captured.out, re.MULTILINE)
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert re.match(r"error: series sum S\(e\) at exponent e = \S+ is -\S+ at node \(", errors[0])
+        assert "mode window jl = (1, 1)" in errors[0] and 'sums="brute"' in errors[0]
 
 
 class TestSums:

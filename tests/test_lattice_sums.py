@@ -15,8 +15,13 @@ from attocell import (
     sv_brute,
     sv_series,
 )
-from attocell.lattice_sums import series_mode_terms
-from attocell.model import lattice_sites
+from attocell.lattice_sums import _ring_sites, series_mode_terms
+from attocell.model import (
+    _site_columns,
+    interference_weights,
+    interferer_distance_sq,
+    lattice_sites,
+)
 
 # ring-ordered fsum at the reference config, pinned by the
 # independent row-major summation below agreeing to 1e-13
@@ -24,13 +29,31 @@ SM_REFERENCE = 0.32872461712993456  # a=0.5, h=1.5, beta=4, z=(0,0), trunc=200
 SV_CORNER_REFERENCE = 0.005158622238419826  # as above at z=(0.25, 0.25), exponent 8
 
 
-def row_major_sum(geometry, exponent, pos, trunc):
-    """Second, independent implementation: plain row-major numpy pairwise
-    summation (different accumulation order than the library's ring fsum)."""
+def site_weights(geometry, exponent, pos, trunc):
+    """Per-site weights written out from the integer site table, in
+    ``lattice_sites`` order."""
     sites = lattice_sites(trunc)
     dx = sites[:, 0] * geometry.pitch + pos[0]
     dy = sites[:, 1] * geometry.pitch + pos[1]
-    return float(np.sum((dx * dx + dy * dy + geometry.height**2) ** (-float(exponent))))
+    return (dx * dx + dy * dy + geometry.height**2) ** (-float(exponent))
+
+
+def row_major_sum(geometry, exponent, pos, trunc):
+    """Second, independent implementation: plain row-major numpy pairwise
+    summation (different accumulation order than the library's ring fsum)."""
+    return float(np.sum(site_weights(geometry, exponent, pos, trunc)))
+
+
+def ring_fsum(geometry, exponent, pos, trunc):
+    """The ring-ordered brute sum with its ring order taken per call: the
+    weights gathered into stable ascending |u|+|v| order, each ring added by
+    ``np.add.reduceat`` and the ring subtotals by ``math.fsum``."""
+    sites = lattice_sites(trunc)
+    rings = np.abs(sites[:, 0]) + np.abs(sites[:, 1])
+    order = np.argsort(rings, kind="stable")
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(rings[order])) + 1])
+    terms = site_weights(geometry, exponent, pos, trunc)[order]
+    return math.fsum(np.add.reduceat(terms, starts))
 
 
 class TestBruteForce:
@@ -74,6 +97,37 @@ class TestBruteForce:
     def test_invalid_exponent(self, geometry):
         with pytest.raises(ValueError):
             sm_brute(geometry, 1.0, (0.0, 0.0))
+
+    @pytest.mark.parametrize("trunc", [1, 2, 15, 200])
+    def test_bit_identical_to_per_call_ring_gather(self, optics, trunc):
+        # the cached ring-ordered columns compute every term by the same
+        # IEEE expression and add the rings in the same order
+        geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
+        beta = DerivedConstants.from_configs(optics, geometry).beta
+        for pos in ((0.0, 0.0), (0.13, -0.07), (0.25, 0.25)):
+            for e in (beta, 2 * beta, 3 * beta):
+                assert sm_brute(geometry, e, pos).value == ring_fsum(geometry, e, pos, trunc)
+                weights = interference_weights(geometry, e, pos)
+                d2 = interferer_distance_sq(geometry, pos)
+                assert np.array_equal(weights, (d2 + geometry.height**2) ** (-e))
+                assert np.array_equal(weights, site_weights(geometry, e, pos, trunc))
+
+    def test_cached_columns_stay_unchanged(self, geometry):
+        trunc = geometry.trunc
+        for column in (*_ring_sites(trunc), *_site_columns(trunc)):
+            assert not column.flags.writeable
+        before = sm_brute(geometry, 4.0, (0.1, 0.05)).value
+        first = interference_weights(geometry, 4.0, (0.1, 0.05))
+        second = interference_weights(geometry, 4.0, (0.1, 0.05))
+        expected = second.copy()
+        for result in (first, second, interferer_distance_sq(geometry, (0.1, 0.05))):
+            assert result.flags.writeable
+            assert not any(np.shares_memory(result, c) for c in _site_columns(trunc))
+        assert not np.shares_memory(first, second)
+        first[:] = -1.0
+        second[:] = np.nan
+        assert np.array_equal(interference_weights(geometry, 4.0, (0.1, 0.05)), expected)
+        assert sm_brute(geometry, 4.0, (0.1, 0.05)).value == before
 
 
 class TestSeries:
@@ -179,6 +233,16 @@ class TestSeries:
         assert abs(default - bv) / bv < 1e-6
         assert abs(default - bv) / bv > 1e-8
         assert wide == pytest.approx(bv, rel=1e-11)
+
+    def test_non_positive_value_is_an_error(self, geometry):
+        # S(e) sums positive terms: a window far too small for the Bessel
+        # order (beta = 84.8) or the height (h/a = 1) must not pass a value
+        with pytest.raises(ValueError, match=r"e = 84\.7978 is -4\.851e-32 at node \(0, 0\)"):
+            sm_series(geometry, 84.79781128924677, (0.0, 0.0))
+        low = NetworkGeometry(pitch=0.5, height=0.5, trunc=200)
+        zx, zy, _ = attocell_quadrature(low, 32)
+        with pytest.raises(ValueError, match=r'h/a = 1 and mode window jl = \(1, 1\).*sums="brute"'):
+            moment_sums(low, (4.0, 8.0), zx, zy)
 
     def test_invalid_modes(self, geometry):
         with pytest.raises(ValueError):
