@@ -36,7 +36,6 @@ from .montecarlo import (
     CltDiagnostics,
     ThinningModel,
     clt_diagnostics,
-    empirical_coverage,
     empirical_coverage_curves,
     interference_samples,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "CltDiagnostics",
     "ThinningModel",
     "clt_diagnostics",
-    "empirical_coverage",
     "empirical_coverage_curves",
     "interference_samples",
     "__version__",

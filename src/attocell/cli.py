@@ -400,11 +400,16 @@ def _montecarlo_curves(cfg: RunConfig, height: float) -> tuple[dict[float, Cover
     return curves, tail
 
 
+def _max_deviation(a: dict[float, CoverageCurve], b: dict[float, CoverageCurve]) -> dict[float, float]:
+    """max |a - b| over the threshold grid, per p."""
+    return {p: float(np.max(np.abs(a[p].values - b[p].values))) for p in a}
+
+
 def run_sweep(cfg: RunConfig) -> int:
+    """Compute every curve, then write the CSVs and the manifest: a
+    configuration that fails leaves no output directory behind."""
     cfg.validate(series="analytic" in cfg.methods)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    curves: list[tuple[str, CoverageCurve]] = []
     diffs = {}
     tails = {}
     for height in cfg.heights:
@@ -416,17 +421,16 @@ def run_sweep(cfg: RunConfig) -> int:
                 by_method[method] = _analytic_curves(cfg, height, "brute", cfg.quad_order)
             else:
                 by_method[method], tails[f"h{height:g}"] = _montecarlo_curves(cfg, height)
-            for p, curve in by_method[method].items():
-                name = _curve_filename(p, height, method)
-                _write_curve_csv(out_dir / name, curve)
-                outputs.append(name)
-                print(f"wrote {name}", file=sys.stderr)
+            curves += [(_curve_filename(p, height, method), c) for p, c in by_method[method].items()]
         if "analytic" in by_method and "montecarlo" in by_method:
-            for p in cfg.p_list:
-                delta = np.max(
-                    np.abs(by_method["analytic"][p].values - by_method["montecarlo"][p].values)
-                )
-                diffs[f"p{p:g}_h{height:g}"] = float(delta)
+            for p, delta in _max_deviation(by_method["analytic"], by_method["montecarlo"]).items():
+                diffs[f"p{p:g}_h{height:g}"] = delta
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, curve in curves:
+        _write_curve_csv(out_dir / name, curve)
+        print(f"wrote {name}", file=sys.stderr)
+    outputs = [name for name, _ in curves]
     manifest = {
         "version": __version__,
         "config": cfg.as_sections(),
@@ -445,6 +449,8 @@ def run_sweep(cfg: RunConfig) -> int:
 
 
 def run_sums(cfg: RunConfig, pos: tuple[float, float], jl: tuple[int, int], height: float | None) -> int:
+    """Print the sums report, built in full first: a sum that fails prints
+    nothing to stdout."""
     cfg.validate()
     h = cfg.heights[0] if height is None else height
     geometry = cfg.geometry(h)
@@ -456,45 +462,48 @@ def run_sums(cfg: RunConfig, pos: tuple[float, float], jl: tuple[int, int], heig
             f"[-{half:g}, {half:g}]^2; proceeding anyway",
             file=sys.stderr,
         )
-    print(f"pitch a = {geometry.pitch:g} m, height h = {geometry.height:g} m "
-          f"(h/a = {geometry.height / geometry.pitch:g}), beta = {consts.beta:g}")
-    print(f"position z = ({pos[0]:g}, {pos[1]:g}) m, modes j,l = {jl[0]},{jl[1]}, "
-          f"brute trunc = {geometry.trunc}")
-    print()
-    print(f"{'sum':<4} {'brute force':>24} {'series':>24} {'rel err':>10} {'tail bound':>12}")
+    lines = [
+        f"pitch a = {geometry.pitch:g} m, height h = {geometry.height:g} m "
+        f"(h/a = {geometry.height / geometry.pitch:g}), beta = {consts.beta:g}",
+        f"position z = ({pos[0]:g}, {pos[1]:g}) m, modes j,l = {jl[0]},{jl[1]}, "
+        f"brute trunc = {geometry.trunc}",
+        "",
+        f"{'sum':<4} {'brute force':>24} {'series':>24} {'rel err':>10} {'tail bound':>12}",
+    ]
     for label, brute_fn, series_fn in (("S_m", sm_brute, sm_series), ("S_v", sv_brute, sv_series)):
         b = brute_fn(geometry, consts.beta, pos)
         s = series_fn(geometry, consts.beta, pos, jl=jl)
         rel = abs(s.value - b.value) / b.value
-        print(f"{label:<4} {_fmt(b.value):>24} {_fmt(s.value):>24} {rel:>10.2e} {b.tail_bound:>12.2e}")
+        lines.append(f"{label:<4} {_fmt(b.value):>24} {_fmt(s.value):>24} {rel:>10.2e} {b.tail_bound:>12.2e}")
     for label, exponent in (("g_m", consts.beta), ("g_v", 2 * consts.beta)):
-        print()
-        print(f"{label} breakdown (weight 1/2 on axis modes; uniform value shown for reference):")
+        lines += ["", f"{label} breakdown (weight 1/2 on axis modes; uniform value shown for reference):"]
         for row in series_mode_terms(geometry, exponent, pos, jl=jl):
             extra = (
                 f"  uniform={row['uniform_value']:+.6e}" if "uniform_value" in row else ""
             )
-            print(f"  {row['term']:<12} weight={row['weight']:<4g} "
-                  f"contribution={row['contribution']:+.6e}{extra}")
+            lines.append(f"  {row['term']:<12} weight={row['weight']:<4g} "
+                         f"contribution={row['contribution']:+.6e}{extra}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def run_validate(cfg: RunConfig, budget: float) -> int:
+    """Print the deviation table and the CLT diagnostics, built in full
+    first: a curve that fails prints nothing to stdout."""
     cfg.validate()
     if not (math.isfinite(budget) and budget >= 0.0):
         raise ConfigError(f"--budget: must be finite and >= 0, got {budget!r}")
     worst = 0.0
-    print(f"{'h':>6} {'p':>6} {'max |MC - analytic|':>22} {'mean stderr':>12}")
+    lines = [f"{'h':>6} {'p':>6} {'max |MC - analytic|':>22} {'mean stderr':>12}"]
     for height in cfg.heights:
         empirical, tail = _montecarlo_curves(cfg, height)
         analytic = _analytic_curves(cfg, height, "series", cfg.mc_quad_order)
+        deltas = _max_deviation(empirical, analytic)
         for p in cfg.p_list:
-            delta = float(np.max(np.abs(empirical[p].values - analytic[p].values)))
-            worst = max(worst, delta)
-            print(f"{height:>6g} {p:>6g} {delta:>22.5f} {float(np.mean(empirical[p].stderr)):>12.5f}")
+            worst = max(worst, deltas[p])
+            lines.append(f"{height:>6g} {p:>6g} {deltas[p]:>22.5f} {float(np.mean(empirical[p].stderr)):>12.5f}")
         print(f"  sampling truncation tail bound: {tail:.3e}", file=sys.stderr)
-    print()
-    print("CLT diagnostics at the attocell centre (standardized interference):")
+    lines += ["", "CLT diagnostics at the attocell centre (standardized interference):"]
     geometry = cfg.geometry(cfg.heights[0])
     for p in cfg.p_list:
         if not 0.0 < p < 1.0:
@@ -502,8 +511,9 @@ def run_validate(cfg: RunConfig, budget: float) -> int:
         model = ThinningModel(p=p, seed=cfg.seed, trunc=cfg.mc_trunc)
         consts = DerivedConstants.from_configs(cfg.optical, geometry)
         diag = clt_diagnostics(model, geometry, consts.beta, (0.0, 0.0), cfg.trials)
-        print(f"  p={p:g}: mean={diag.sample_mean:.6e} var={diag.sample_var:.6e} "
-              f"ks={diag.ks_stat:.4f} trials={diag.trials}")
+        lines.append(f"  p={p:g}: mean={diag.sample_mean:.6e} var={diag.sample_var:.6e} "
+                     f"ks={diag.ks_stat:.4f} trials={diag.trials}")
+    print("\n".join(lines))
     print()
     if worst > budget:
         print(f"FAIL: worst deviation {worst:.5f} exceeds budget {budget:g}")

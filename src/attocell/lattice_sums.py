@@ -61,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NetworkGeometry, _site_columns, _site_weights, position_xy, tail_bound
+from .model import NetworkGeometry, _site_columns, _site_weights, _with_trunc, position_xy, tail_bound
 from .specfun import bessel_k, gamma
 
 __all__ = [
@@ -100,8 +100,8 @@ def _ring_sites(trunc: int):
     return u, v, starts
 
 
-def _brute_value(geometry: NetworkGeometry, exponent: float, zx: float, zy: float, trunc: int) -> float:
-    u, v, starts = _ring_sites(trunc)
+def _brute_value(geometry: NetworkGeometry, exponent: float, zx: float, zy: float) -> float:
+    u, v, starts = _ring_sites(geometry.trunc)
     terms = _site_weights(geometry, exponent, zx, zy, u, v)
     return math.fsum(np.add.reduceat(terms, starts).tolist())
 
@@ -114,11 +114,12 @@ def _check_exponent(exponent: float) -> float:
 
 
 def sm_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None) -> SumResult:
-    """Mean sum S_m by direct summation over the truncated lattice."""
+    """Mean sum S_m by direct summation over the lattice truncated at
+    ``geometry.trunc``, or at ``trunc`` rings when given."""
     e = _check_exponent(beta)
     zx, zy = position_xy(pos)
-    t = geometry.trunc if trunc is None else int(trunc)
-    return SumResult(_brute_value(geometry, e, zx, zy, t), tail_bound(geometry, e, t))
+    geometry = _with_trunc(geometry, trunc)
+    return SumResult(_brute_value(geometry, e, zx, zy), tail_bound(geometry, e))
 
 
 def sv_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None) -> SumResult:

@@ -26,7 +26,7 @@ The line-of-sight electrical quantities implemented below:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -107,6 +107,12 @@ class NetworkGeometry:
             raise ValueError(f"geometry.height must be > 0, got {self.height!r}")
         if int(self.trunc) != self.trunc or self.trunc < 1:
             raise ValueError(f"geometry.trunc must be an integer >= 1, got {self.trunc!r}")
+
+
+def _with_trunc(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeometry:
+    """``geometry`` truncated at ``trunc`` rings (None keeps its own), checked
+    as any geometry is: how a ``trunc=`` override takes effect."""
+    return geometry if trunc is None else replace(geometry, trunc=trunc)
 
 
 @dataclass(frozen=True)
@@ -225,25 +231,20 @@ def _site_weights(
     return np.power(w, -float(exponent), out=w)
 
 
-def _columns(geometry: NetworkGeometry, trunc: int | None):
-    return _site_columns(geometry.trunc if trunc is None else int(trunc))
-
-
-def interferer_distance_sq(geometry: NetworkGeometry, pos, trunc: int | None = None) -> np.ndarray:
+def interferer_distance_sq(geometry: NetworkGeometry, pos) -> np.ndarray:
     """Squared horizontal PD-to-LED distances D_i^2 = (u a + z_x)^2 +
-    (v a + z_y)^2 over the truncated lattice, in ``lattice_sites`` order."""
+    (v a + z_y)^2 over the lattice truncated at ``geometry.trunc``, in
+    ``lattice_sites`` order."""
     zx, zy = position_xy(pos)
-    return _distance_sq(geometry.pitch, zx, zy, *_columns(geometry, trunc))
+    return _distance_sq(geometry.pitch, zx, zy, *_site_columns(geometry.trunc))
 
 
-def interference_weights(
-    geometry: NetworkGeometry, exponent: float, pos, trunc: int | None = None
-) -> np.ndarray:
-    """Per-site weights (D_i^2 + h^2)^(-exponent) in ``lattice_sites``
-    order; with exponent beta they are the interferers' squared gains
-    over K^2."""
+def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.ndarray:
+    """Per-site weights (D_i^2 + h^2)^(-exponent) over the lattice truncated
+    at ``geometry.trunc``, in ``lattice_sites`` order; with exponent beta
+    they are the interferers' squared gains over K^2."""
     zx, zy = position_xy(pos)
-    return _site_weights(geometry, exponent, zx, zy, *_columns(geometry, trunc))
+    return _site_weights(geometry, exponent, zx, zy, *_site_columns(geometry.trunc))
 
 
 def sinr(
@@ -278,8 +279,9 @@ def sinr(
     return signal / (interference + consts.noise_var)
 
 
-def tail_bound(geometry: NetworkGeometry, exponent: float, trunc: int | None = None) -> float:
-    """Upper bound on the lattice-sum mass outside the truncated window.
+def tail_bound(geometry: NetworkGeometry, exponent: float) -> float:
+    """Upper bound on the lattice-sum mass outside the window truncated at
+    ``geometry.trunc``.
 
     Every omitted site lies at horizontal distance >= a (trunc - 1) from any
     receiver inside the attocell, so the omitted sum of (D^2 + h^2)^(-e) is
@@ -290,7 +292,6 @@ def tail_bound(geometry: NetworkGeometry, exponent: float, trunc: int | None = N
     e = float(exponent)
     if e <= 1.0:
         raise ValueError(f"tail bound requires exponent > 1, got {e!r}")
-    t = geometry.trunc if trunc is None else int(trunc)
     a = geometry.pitch
-    r_max = a * max(t - 1, 0.5)
+    r_max = a * max(geometry.trunc - 1, 0.5)
     return 2.0 * math.pi * r_max ** (2.0 - 2.0 * e) / ((2.0 * e - 2.0) * a * a)

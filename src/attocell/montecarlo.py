@@ -13,18 +13,18 @@ All randomness comes from counter-based Philox streams derived as
 
     stream(seed, *path) = Philox(SeedSequence([seed, *path]))
 
-``interference_samples`` and the pointwise ``empirical_coverage`` consume
-``stream(seed)`` unless handed a generator; ``empirical_coverage_curves``
-gives quadrature node ``i`` its own ``stream(seed, i)``, so node workers can
-run in any order (or in parallel) and still produce bit-identical results.
-Within a stream, trials are consumed in fixed row-major blocks; the block
-size does not change the sequence.  Each (trial, site) reads one 32-bit
-word r of the stream's raw 64-bit output, low half first, which is the
-word Philox hands to a float32 draw.  That draw would be the uniform
-u = (r >> 8) 2^-24 (granularity 2^-24, a negligible Bernoulli bias), and
-u < float32(p) holds exactly when r < ceil(float32(p) 2^24) 2^8, so the
-site is compared in integers and the decisions, and the stream state
-after them, are those of ``random(dtype=float32) < float32(p)``.  One word
+``interference_samples`` consumes ``stream(seed)`` unless handed a
+generator; ``empirical_coverage_curves`` gives quadrature node ``i`` its own
+``stream(seed, i)``, so node workers can run in any order (or in parallel)
+and still produce bit-identical results.  Within a stream, trials are
+consumed in order, one row of sites after another.  Each (trial, site)
+reads one 32-bit word r of the stream's raw 64-bit output, low half
+first, which is the word Philox hands to a float32 draw.  That draw would
+be the uniform u = (r >> 8) 2^-24 (granularity 2^-24, a negligible
+Bernoulli bias), and u < float32(p) holds exactly when
+r < ceil(float32(p) 2^24) 2^8, so the site is compared in integers and
+the decisions, and the stream state after them, are those of
+``random(dtype=float32) < float32(p)``.  One word
 per site is shared across the whole ``p`` grid, so thinning realizations
 are coupled by common random numbers: raising p can only add interferers,
 making realization-wise monotonicity in p exact.  Coverage tallies are
@@ -40,14 +40,16 @@ the weights', so the order of summation cannot matter: any BLAS kernel,
 block shape, thread count or FMA gives the same C, equal bit for bit to
 the float64 sum of the fixed-point weights.  The rounding moves C by at
 most n * 2^-53 * S_m for n sites (to first order), where S_m = sum_i w_i
-over the sampled lattice.
+over the sampled lattice.  Internally the words are drawn, compared and
+summed a fixed slice of 64 trials at a time, which keeps them and the
+mask in cache and bounds memory in the trial count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -59,8 +61,8 @@ from .model import (
     DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
+    _with_trunc,
     interference_weights,
-    position_xy,
     tail_bound,
 )
 
@@ -69,14 +71,12 @@ __all__ = [
     "CltDiagnostics",
     "substream",
     "interference_samples",
-    "empirical_coverage",
     "empirical_coverage_curves",
     "clt_diagnostics",
 ]
 
-_DEFAULT_BLOCK = 1024
-# trials of a block drawn, compared and summed at once: keeps the words and
-# the mask in cache
+# trials drawn, compared and summed at once: keeps the words and the mask in
+# cache
 _SLICE = 64
 
 
@@ -84,7 +84,7 @@ _SLICE = 64
 class ThinningModel:
     """Bernoulli thinning: each interferer transmits with probability p.
 
-    ``trunc`` overrides the geometry's lattice truncation for sampling
+    ``trunc`` replaces the geometry's lattice truncation for sampling
     (None inherits it); the tagged LED is never part of the realization.
     """
 
@@ -114,10 +114,6 @@ class CltDiagnostics:
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Deterministic Philox stream for (seed, *path); see module docstring."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, path)])))
-
-
-def _effective_trunc(model: ThinningModel, geometry: NetworkGeometry) -> int:
-    return geometry.trunc if model.trunc is None else int(model.trunc)
 
 
 def _fixed_point_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
@@ -150,17 +146,15 @@ def _limbs(w_int: np.ndarray) -> tuple[np.ndarray, int]:
     return np.stack(columns, axis=1).astype(np.float32), bits
 
 
-def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int, block: int):
-    """Yield, for each block of up to ``block`` trials, C under every p in
-    ``p_list`` (one array per p).  One 32-bit Philox word per (trial, site)
-    is drawn once and shared across the p grid, and a site transmits when
-    its word falls below the cut of p; C is summed from the float32 limbs
-    of the fixed-point form of the weights ``w`` (see module docstring).
-    Raises ``ValueError`` before any draw unless ``block >= 1``, the site
-    count is even and below 2^23, and ``rng`` is a Philox generator with no
-    buffered 32-bit half."""
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block!r}")
+def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
+    """Yield, for each slice of up to ``_SLICE`` trials in order, C under
+    every p in ``p_list`` as one array of shape (len(p_list), rows).  One
+    32-bit Philox word per (trial, site) is drawn once and shared across
+    the p grid, and a site transmits when its word falls below the cut of
+    p; C is summed from the float32 limbs of the fixed-point form of the
+    weights ``w`` (see module docstring).  Raises ``ValueError`` before
+    any draw unless the site count is even and below 2^23 and ``rng`` is a
+    Philox generator with no buffered 32-bit half."""
     n = w.size
     if n % 2 or n >= 2**23:
         raise ValueError(f"site count must be even and below 2^23, got {n}")
@@ -172,25 +166,21 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int, 
     place = bits * np.arange(limbs.shape[1])
     # u = (r >> 8) 2^-24 < float32(p)  <=>  r < ceil(float32(p) 2^24) 2^8
     cuts = [math.ceil(float(np.float32(p)) * 2**24) << 8 for p in p_list]
-    mask = np.empty((min(block, trials, _SLICE), n), dtype=np.float32)
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        sums = np.empty((len(cuts), b, limbs.shape[1]), dtype=np.float32)
-        for i in range(0, b, _SLICE):
-            rows = min(_SLICE, b - i)
-            # little-endian: the low half of each 64-bit word comes first
-            raw = rng.bit_generator.random_raw(rows * n // 2)
-            r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)
-            m = mask[:rows]
-            for k, cut in enumerate(cuts):
-                if cut < 2**32:
-                    np.less(r, cut, out=m)
-                else:  # float32(p) == 1: every word is below the cut
-                    m.fill(1.0)
-                np.matmul(m, limbs, out=sums[k, i : i + rows])
-        yield [np.ldexp((s.astype(np.int64) << place).sum(axis=1).astype(float), -shift) for s in sums]
-        done += b
+    mask = np.empty((min(trials, _SLICE), n), dtype=np.float32)
+    sums = np.empty((len(cuts), mask.shape[0], limbs.shape[1]), dtype=np.float32)
+    for i in range(0, trials, _SLICE):
+        rows = min(_SLICE, trials - i)
+        # little-endian: the low half of each 64-bit word comes first
+        raw = rng.bit_generator.random_raw(rows * n // 2)
+        r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)
+        m = mask[:rows]
+        for k, cut in enumerate(cuts):
+            if cut < 2**32:
+                np.less(r, cut, out=m)
+            else:  # float32(p) == 1: every word is below the cut
+                m.fill(1.0)
+            np.matmul(m, limbs, out=sums[k, :rows])
+        yield np.ldexp((sums[:, :rows].astype(np.int64) << place).sum(axis=2).astype(float), -shift)
 
 
 def interference_samples(
@@ -200,7 +190,6 @@ def interference_samples(
     pos,
     trials: int,
     rng: np.random.Generator | None = None,
-    block: int = _DEFAULT_BLOCK,
 ) -> np.ndarray:
     """``trials`` iid realizations of C as a float64 array.
 
@@ -212,37 +201,8 @@ def interference_samples(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if rng is None:
         rng = substream(model.seed)
-    w = interference_weights(geometry, beta, pos, _effective_trunc(model, geometry))
-    return np.concatenate([c for c, in _thinned_sums(rng, w, (model.p,), trials, block)])
-
-
-def _count_below(samples: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Counts of samples strictly below each threshold, via one sort."""
-    s = np.sort(samples)
-    return np.searchsorted(s, thresholds, side="left")
-
-
-def empirical_coverage(
-    model: ThinningModel,
-    optical: OpticalConfig,
-    geometry: NetworkGeometry,
-    pos,
-    theta_linear,
-    trials: int,
-):
-    """Fraction of realizations with C < eta(z, theta) at one position,
-    across a threshold grid (or one threshold), with binomial standard
-    errors.  Every threshold shares one sample set (common random numbers),
-    so the result is exactly nonincreasing in theta and deterministic for a
-    fixed (model, config).  Returns (means, stderrs) arrays."""
-    consts = DerivedConstants.from_configs(optical, geometry)
-    zx, zy = position_xy(pos)
-    etas = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)[:, 0]
-    samples = interference_samples(model, geometry, consts.beta, (zx, zy), trials)
-    counts = _count_below(samples, etas)
-    means = counts / float(trials)
-    stderrs = np.sqrt(means * (1.0 - means) / float(trials))
-    return means, stderrs
+    w = interference_weights(_with_trunc(geometry, model.trunc), beta, pos)
+    return np.concatenate([c for c, in _thinned_sums(rng, w, (model.p,), trials)])
 
 
 def _node_counts(
@@ -250,7 +210,6 @@ def _node_counts(
     beta: float,
     p_list: tuple[float, ...],
     trials: int,
-    block: int,
     seed: int,
     node_index: int,
     zx: float,
@@ -265,9 +224,8 @@ def _node_counts(
     """
     w = interference_weights(geometry, beta, (zx, zy))
     counts = np.zeros((len(p_list), eta_row.size), dtype=np.int64)
-    for sums in _thinned_sums(substream(seed, node_index), w, p_list, trials, block):
-        for k, c in enumerate(sums):
-            counts[k] += (c[:, None] < eta_row[None, :]).sum(axis=0)
+    for c in _thinned_sums(substream(seed, node_index), w, p_list, trials):
+        counts += (c[:, :, None] < eta_row).sum(axis=1)
     return counts
 
 
@@ -281,7 +239,6 @@ def empirical_coverage_curves(
     quad_order: int = 16,
     trunc: int | None = None,
     n_jobs: int = 1,
-    block: int = _DEFAULT_BLOCK,
 ):
     """Spatially averaged empirical coverage over the p grid ``p_list`` and
     the threshold grid ``theta_db`` (dB, or one threshold).
@@ -290,6 +247,7 @@ def empirical_coverage_curves(
     up to ``n_jobs`` worker processes with results identical to the serial
     order.  All p values share every uniform draw and all thresholds share
     every realization, so comparisons across the grids are coupled.
+    ``trunc`` replaces ``geometry.trunc`` for sampling (None keeps it).
     Returns (means, stderrs, tail) where means/stderrs have shape
     (len(p_list), len(theta)) and tail bounds the interference mass omitted
     by the sampling truncation.
@@ -299,12 +257,12 @@ def empirical_coverage_curves(
     trials_per_node = int(trials_per_node)
     if trials_per_node < 1:
         raise ValueError(f"trials_per_node must be >= 1, got {trials_per_node!r}")
-    sampled = geometry if trunc is None else replace(geometry, trunc=int(trunc))
+    sampled = _with_trunc(geometry, trunc)
     consts = DerivedConstants.from_configs(optical, geometry)
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry=False)
     etas = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
     node = partial(
-        _node_counts, sampled, consts.beta, p_list, trials_per_node, int(block), int(seed)
+        _node_counts, sampled, consts.beta, p_list, trials_per_node, int(seed)
     )
     columns = (range(zx.size), zx.tolist(), zy.tolist(), list(etas.T))
     if n_jobs > 1:
@@ -316,7 +274,7 @@ def empirical_coverage_curves(
     # quadrature weights sum to 1 only up to roundoff, so clip the average
     means = np.clip(np.einsum("i,ipt->pt", wq, phat), 0.0, 1.0)
     var = np.einsum("i,ipt->pt", wq**2, phat * (1.0 - phat)) / float(trials_per_node)
-    return means, np.sqrt(var), tail_bound(geometry, consts.beta, sampled.trunc)
+    return means, np.sqrt(var), tail_bound(sampled, consts.beta)
 
 
 def _ks_statistic_normal(standardized: np.ndarray) -> float:
@@ -345,10 +303,10 @@ def clt_diagnostics(
     """
     if not 0.0 < model.p < 1.0:
         raise ValueError("clt diagnostics require 0 < p < 1")
-    t = _effective_trunc(model, geometry)
     samples = interference_samples(model, geometry, beta, pos, trials)
-    s_m = sm_brute(geometry, beta, pos, t).value
-    s_v = sv_brute(geometry, beta, pos, t).value
+    sampled = _with_trunc(geometry, model.trunc)
+    s_m = sm_brute(sampled, beta, pos).value
+    s_v = sv_brute(sampled, beta, pos).value
     mu = model.p * s_m
     sigma1 = math.sqrt(model.p * (1.0 - model.p) * s_v)
     return CltDiagnostics(

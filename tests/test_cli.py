@@ -264,7 +264,8 @@ class TestSweep:
         cfg = load_config(str(tiny_config))
         geometry = cfg.geometry(1.5)
         beta = DerivedConstants.from_configs(cfg.optical, geometry).beta
-        assert data["montecarlo_tail_bound"] == {"h1.5": tail_bound(geometry, beta, cfg.mc_trunc)}
+        sampled = dataclasses.replace(geometry, trunc=cfg.mc_trunc)
+        assert data["montecarlo_tail_bound"] == {"h1.5": tail_bound(sampled, beta)}
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -367,19 +368,24 @@ class TestFlags:
             ("sums", "\n[optical]\nhalf_angle = 0.13\n", []),
             # h/a = 1: S_v < 0 at nodes near the centre
             ("sweep", "", ["--heights", "0.5", "--quad-order", "32"]),
+            # the same at the analytic curves validate compares against
+            ("validate", "", ["--heights", "0.5", "--mc-quad-order", "16"]),
         ],
     )
     def test_non_positive_series_is_an_error(self, tiny_config, tmp_path, capsys, command, ini, extra):
         config = tmp_path / "case.ini"
         config.write_text(tiny_config.read_text() + ini)
-        out = ["--out", str(tmp_path / "o")] if command == "sweep" else []
+        out_dir = tmp_path / "o"
+        out = ["--out", str(out_dir)] if command == "sweep" else []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run_cli(command, "--config", str(config), *extra, *out)
         assert code == EXIT_CONFIG
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
-        assert not re.search(r"^S_[mv] ", captured.out, re.MULTILINE)
+        # every curve and sum is computed before any output begins
+        assert captured.out == ""
+        assert not out_dir.exists()
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert re.match(r"error: series sum S\(e\) at exponent e = \S+ is -\S+ at node \(", errors[0])

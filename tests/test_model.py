@@ -1,6 +1,7 @@
 """Geometry, configuration and pointwise channel/SINR quantities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,9 +205,15 @@ class TestTailBound:
         assert near.tail_bound < 1e-6 * near.value
 
     def test_decreasing_in_trunc(self, geometry):
-        bounds = [tail_bound(geometry, 4.0, t) for t in (50, 100, 200)]
+        bounds = [tail_bound(replace(geometry, trunc=t), 4.0) for t in (50, 100, 200)]
         assert bounds[0] > bounds[1] > bounds[2]
 
     def test_requires_summable_exponent(self, geometry):
         with pytest.raises(ValueError):
             tail_bound(geometry, 1.0)
+
+    @pytest.mark.parametrize("trunc", [0, -5, 2.7])
+    def test_brute_truncation_checked_as_geometry(self, geometry, trunc):
+        # a truncation override is the geometry's own field, with its check
+        with pytest.raises(ValueError, match=r"geometry\.trunc"):
+            sm_brute(geometry, 4.0, (0.1, 0.05), trunc=trunc)

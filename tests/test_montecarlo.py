@@ -16,7 +16,6 @@ from attocell import (
     coverage_at,
     coverage_spatial,
     db_to_linear,
-    empirical_coverage,
     empirical_coverage_curves,
     eta,
     interference_samples,
@@ -24,24 +23,35 @@ from attocell import (
     sv_brute,
 )
 import attocell.montecarlo
-from attocell.coverage import attocell_quadrature
+from attocell.coverage import _eta_grid, attocell_quadrature
 from attocell.model import interference_weights
-from attocell.montecarlo import _DEFAULT_BLOCK, _fixed_point_weights, _node_counts, _thinned_sums, substream
+from attocell.montecarlo import _fixed_point_weights, _node_counts, _thinned_sums, substream
 
 BETA = 4.0
 # float32(1 - 1e-9) == 1, so the last two both give every site
 P_GRID = (0.0, 1e-12, 0.3, 0.5, 0.8, 1 - 1e-9, 1.0)
 
 
-def _reference_sums(rng, w, p_list, trials, block):
+def _reference_sums(rng, w, p_list, trials, chunk):
     """C under every p by float32 uniforms, u < float32(p), and a float64
-    matvec against the fixed-point weights, block by block."""
+    matvec against the fixed-point weights, drawn ``chunk`` trials at a
+    time."""
     w_int, shift = _fixed_point_weights(w)
-    blocks = []
-    for start in range(0, trials, block):
-        u = rng.random((min(block, trials - start), w.size), dtype=np.float32)
-        blocks.append([np.ldexp(np.asarray(u < np.float32(p), dtype=float) @ w_int, -shift) for p in p_list])
-    return [np.concatenate(c) for c in zip(*blocks)]
+    chunks = []
+    for start in range(0, trials, chunk):
+        u = rng.random((min(chunk, trials - start), w.size), dtype=np.float32)
+        chunks.append([np.ldexp(np.asarray(u < np.float32(p), dtype=float) @ w_int, -shift) for p in p_list])
+    return [np.concatenate(c) for c in zip(*chunks)]
+
+
+def _centre_coverage(optics, geometry, seed, theta_db, trials, p=0.5):
+    """Empirical coverage at the attocell centre alone, as (means,
+    stderrs) over the thresholds: the one-node rule (quad_order=1) puts
+    its single node, with weight 1, at (0, 0)."""
+    means, stderrs, _ = empirical_coverage_curves(
+        optics, geometry, (p,), theta_db, seed=seed, trials_per_node=trials, quad_order=1
+    )
+    return means[0], stderrs[0]
 
 
 class TestThinningModel:
@@ -52,6 +62,8 @@ class TestThinningModel:
             ThinningModel(p=0.5, seed=-3)
         with pytest.raises(ValueError):
             ThinningModel(p=0.5, seed=1, trunc=0)
+        with pytest.raises(ValueError):
+            ThinningModel(p=0.5, seed=1, trunc=2.7)
 
 
 class TestSubstreams:
@@ -85,21 +97,20 @@ class TestSampling:
         assert np.all(s <= cap * (1 + 1e-12))
 
     def test_reproducible_and_block_invariant(self, small_geometry):
+        # the stream is read in trial order: a shorter run is a prefix of a
+        # longer one, whatever slice the last trial falls in
         model = ThinningModel(p=0.5, seed=21)
-        a = interference_samples(model, small_geometry, BETA, (0.1, 0.1), 500, block=64)
-        b = interference_samples(model, small_geometry, BETA, (0.1, 0.1), 500, block=500)
+        a = interference_samples(model, small_geometry, BETA, (0.1, 0.1), 500)
+        b = interference_samples(model, small_geometry, BETA, (0.1, 0.1), 500)
+        longer = interference_samples(model, small_geometry, BETA, (0.1, 0.1), 1100)
         assert np.array_equal(a, b)
+        assert np.array_equal(a, longer[:500])
 
-    @pytest.mark.parametrize("block", [0, -1])
-    def test_block_must_be_positive(self, optics, small_geometry, block):
-        # a block of no trials never advances the trial loop
-        model = ThinningModel(p=0.5, seed=1)
-        with pytest.raises(ValueError, match="block"):
-            interference_samples(model, small_geometry, BETA, (0.1, 0.1), 10, block=block)
-        with pytest.raises(ValueError, match="block"):
-            empirical_coverage_curves(
-                optics, small_geometry, (0.5,), theta_db=[-6.0], trials_per_node=10, quad_order=2, block=block
-            )
+    def test_model_truncation_replaces_geometry_trunc(self, small_geometry):
+        # sampling at ThinningModel.trunc = 2 is sampling a trunc-2 geometry
+        narrow = NetworkGeometry(small_geometry.pitch, small_geometry.height, 2)
+        got = interference_samples(ThinningModel(p=0.5, seed=1, trunc=2), small_geometry, BETA, (0.1, 0.1), 70)
+        assert np.array_equal(got, interference_samples(ThinningModel(p=0.5, seed=1), narrow, BETA, (0.1, 0.1), 70))
 
     def test_fixed_point_error_within_bound(self, small_geometry):
         # C against the correctly rounded sum of the same sites' float weights;
@@ -124,27 +135,29 @@ class TestDraws:
     """The 32-bit words and float32 limbs give the decisions and C of
     float32 uniforms and a float64 matvec, bit for bit."""
 
-    @pytest.mark.parametrize("block", [64, _DEFAULT_BLOCK])
+    # the reference draws in chunks of its own, so the kernel's slices are
+    # compared against two other chunk shapes
+    @pytest.mark.parametrize("chunk", [64, 1024])
     @pytest.mark.parametrize("p", P_GRID)
-    def test_samples_match_reference(self, small_geometry, block, p):
-        # 1100 trials: a partial last block at either block size
+    def test_samples_match_reference(self, small_geometry, chunk, p):
+        # 1100 trials: a partial last chunk at either chunk size
         pos = (0.1, -0.05)
         rng, ref = substream(6, 1), substream(6, 1)
-        got = interference_samples(ThinningModel(p=p, seed=6), small_geometry, BETA, pos, 1100, rng=rng, block=block)
+        got = interference_samples(ThinningModel(p=p, seed=6), small_geometry, BETA, pos, 1100, rng=rng)
         w = interference_weights(small_geometry, BETA, pos)
-        (want,) = _reference_sums(ref, w, (p,), 1100, block)
+        (want,) = _reference_sums(ref, w, (p,), 1100, chunk)
         assert np.array_equal(got, want)
         # the stream is left where the reference leaves it
         assert rng.random() == ref.random()
 
-    @pytest.mark.parametrize("block", [64, _DEFAULT_BLOCK])
-    def test_node_counts_match_reference(self, small_geometry, block):
+    @pytest.mark.parametrize("chunk", [64, 1024])
+    def test_node_counts_match_reference(self, small_geometry, chunk):
         zx, zy = 0.15, 0.05
         w = interference_weights(small_geometry, BETA, (zx, zy))
-        want = _reference_sums(substream(9, 2), w, P_GRID, 1100, block)
+        want = _reference_sums(substream(9, 2), w, P_GRID, 1100, chunk)
         # thresholds on realized values of C: one moved sum moves a count
         eta_row = np.concatenate([[0.0, 1.0], want[2][::50], want[4][::50]])
-        counts = _node_counts(small_geometry, BETA, P_GRID, 1100, block, 9, 2, zx, zy, eta_row)
+        counts = _node_counts(small_geometry, BETA, P_GRID, 1100, 9, 2, zx, zy, eta_row)
         for k, c in enumerate(want):
             assert np.array_equal(counts[k], (c[:, None] < eta_row[None, :]).sum(axis=0))
 
@@ -168,7 +181,7 @@ class TestDraws:
         # an odd count splits a 64-bit word; 2^23 sites leave no limb bits
         rng = substream(5)
         with pytest.raises(ValueError, match="site count"):
-            next(_thinned_sums(rng, np.broadcast_to(1.0, sites), (0.5,), 10, 64))
+            next(_thinned_sums(rng, np.broadcast_to(1.0, sites), (0.5,), 10))
         assert np.array_equal(rng.random(4), substream(5).random(4))
 
     def test_independent_of_blas_threads(self, small_geometry):
@@ -206,47 +219,39 @@ class TestMoments:
 
 
 class TestEmpiricalCoverage:
+    """Pointwise coverage at the centre, through the one-node rule."""
+
     def test_deterministic(self, optics, small_geometry):
-        model = ThinningModel(p=0.5, seed=77)
-        a = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), 0.2213, 2000)
-        b = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), 0.2213, 2000)
+        a = _centre_coverage(optics, small_geometry, 77, -6.55, 2000)
+        b = _centre_coverage(optics, small_geometry, 77, -6.55, 2000)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_limits(self, optics, small_geometry):
-        model = ThinningModel(p=0.5, seed=77)
-        means, stderrs = empirical_coverage(
-            model, optics, small_geometry, (0.0, 0.0), [1e-9, 1e9], 500
-        )
+        means, stderrs = _centre_coverage(optics, small_geometry, 77, [-90.0, 90.0], 500)
         assert means.tolist() == [1.0, 0.0] and stderrs.tolist() == [0.0, 0.0]
 
     def test_p_one_deterministic_indicator(self, optics, small_geometry):
-        model = ThinningModel(p=1.0, seed=3)
         total = sm_brute(small_geometry, BETA, (0.0, 0.0)).value
         # theta chosen so S_m < eta: covered with certainty
         t = float(db_to_linear(-12.0))
         assert eta(optics, small_geometry, (0.0, 0.0), t) > total
-        means, _ = empirical_coverage(model, optics, small_geometry, (0.0, 0.0), t, 200)
+        means, _ = _centre_coverage(optics, small_geometry, 3, -12.0, 200, p=1.0)
         assert means.tolist() == [1.0]
 
     def test_grid_monotone_under_common_randomness(self, optics, small_geometry):
-        model = ThinningModel(p=0.5, seed=13)
-        thetas = db_to_linear(np.arange(-15.0, 5.0, 0.5))
-        means, _ = empirical_coverage(model, optics, small_geometry, (0.1, 0.05), thetas, 4000)
+        means, _ = _centre_coverage(optics, small_geometry, 13, np.arange(-15.0, 5.0, 0.5), 4000)
         assert np.all(np.diff(means) <= 0.0)
+        assert means[0] > means[-1]
 
     def test_matches_analytic_at_centre(self, optics):
         geometry = NetworkGeometry(0.5, 1.5, 40)
-        model = ThinningModel(p=0.5, seed=99)
-        t = float(db_to_linear(-6.55))
-        (mean,), (stderr,) = empirical_coverage(model, optics, geometry, (0.0, 0.0), t, 20_000)
-        ref = coverage_at(optics, geometry, 0.5, (0.0, 0.0), t).value
+        (mean,), (stderr,) = _centre_coverage(optics, geometry, 99, -6.55, 20_000)
+        ref = coverage_at(optics, geometry, 0.5, (0.0, 0.0), float(db_to_linear(-6.55))).value
         assert abs(mean - ref) <= 3 * stderr + 0.02
 
     def test_stderr_scaling(self, optics, small_geometry):
-        model = ThinningModel(p=0.5, seed=55)
-        t = float(db_to_linear(-6.55))
-        _, a = empirical_coverage(model, optics, small_geometry, (0.1, 0.0), t, 4000)
-        _, b = empirical_coverage(model, optics, small_geometry, (0.1, 0.0), t, 8000)
+        _, a = _centre_coverage(optics, small_geometry, 55, -6.55, 4000)
+        _, b = _centre_coverage(optics, small_geometry, 55, -6.55, 8000)
         ratio = b[0] / a[0]
         assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
@@ -294,27 +299,44 @@ class TestSpatial:
         assert np.array_equal(serial[1], parallel[1])
 
     def test_curves_block_invariant(self, optics, small_geometry):
-        # a partial last block and different gemv shapes must not move C
+        # the curves are the quadrature average of per-node counts over the
+        # same draws interference_samples makes from substream(seed, i);
+        # 300 trials end in a partial slice
         grid = np.arange(-10.0, -2.0, 0.25)
-        kwargs = dict(theta_db=grid, seed=19, trials_per_node=300, quad_order=4)
-        default = empirical_coverage_curves(optics, small_geometry, (0.3, 0.8), **kwargs)
-        small = empirical_coverage_curves(
-            optics, small_geometry, (0.3, 0.8), block=64, **kwargs
+        p_list = (0.3, 0.8)
+        means, stderrs, _ = empirical_coverage_curves(
+            optics, small_geometry, p_list, theta_db=grid, seed=19, trials_per_node=300, quad_order=4
         )
-        assert np.array_equal(default[0], small[0])
-        assert np.array_equal(default[1], small[1])
+        again = empirical_coverage_curves(
+            optics, small_geometry, p_list, theta_db=grid, seed=19, trials_per_node=300, quad_order=4
+        )
+        assert np.array_equal(means, again[0]) and np.array_equal(stderrs, again[1])
+        zx, zy, wq = attocell_quadrature(small_geometry, 4, use_symmetry=False)
+        etas = _eta_grid(optics, small_geometry, zx, zy, db_to_linear(grid))
+        counts = np.zeros((zx.size, len(p_list), grid.size), dtype=np.int64)
+        for i in range(zx.size):
+            for k, p in enumerate(p_list):
+                model = ThinningModel(p=p, seed=19)
+                c = interference_samples(model, small_geometry, BETA, (zx[i], zy[i]), 300, rng=substream(19, i))
+                counts[i, k] = (c[:, None] < etas[:, i]).sum(axis=0)
+        assert np.array_equal(means, np.clip(np.einsum("i,ipt->pt", wq, counts / 300.0), 0.0, 1.0))
 
     def test_node_counts_exact_at_sampled_thresholds(self, small_geometry):
         # thresholds placed on the realized C values of node 0's stream: a
-        # count moves as soon as one row's sum depends on the block shape
+        # count moves as soon as one row's sum depends on how the trials
+        # are sliced; 500 trials end in a partial slice
         g = small_geometry
-        model = ThinningModel(p=0.5, seed=4)
-        for sample_block, count_block in ((500, 64), (64, 500)):
-            c = interference_samples(
-                model, g, BETA, (0.1, 0.1), 500, rng=substream(4, 0), block=sample_block
+        c = interference_samples(ThinningModel(p=0.5, seed=4), g, BETA, (0.1, 0.1), 500, rng=substream(4, 0))
+        counts = _node_counts(g, BETA, (0.5,), 500, 4, 0, 0.1, 0.1, c)
+        assert np.array_equal(counts[0], (c[:, None] < c[None, :]).sum(axis=0))
+
+    @pytest.mark.parametrize("trunc", [0, 2.5])
+    def test_sampling_truncation_checked_as_geometry(self, optics, small_geometry, trunc):
+        # trunc replaces geometry.trunc, so the geometry's check names it
+        with pytest.raises(ValueError, match=r"geometry\.trunc"):
+            empirical_coverage_curves(
+                optics, small_geometry, (0.5,), theta_db=[-6.0], trials_per_node=10, quad_order=2, trunc=trunc
             )
-            counts = _node_counts(g, BETA, (0.5,), 500, count_block, 4, 0, 0.1, 0.1, c)
-            assert np.array_equal(counts[0], (c[:, None] < c[None, :]).sum(axis=0))
 
     def test_spatial_estimate_fields(self, optics, small_geometry):
         means, stderrs, _ = empirical_coverage_curves(
