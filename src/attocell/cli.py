@@ -353,14 +353,11 @@ def _curve_filename(p: float, height: float, method: str) -> str:
 
 
 def _write_curve_csv(path: Path, curve: CoverageCurve) -> None:
+    # .tolist() gives Python floats, so each cell is _fmt(float(x))
+    stderr = [""] * curve.values.size if curve.stderr is None else list(map(_fmt, curve.stderr.tolist()))
+    rows = zip(curve.theta_db.tolist(), curve.theta_linear.tolist(), curve.values.tolist(), stderr)
     lines = ["theta_db,theta_linear,p_c,stderr"]
-    stderr = curve.stderr
-    for i in range(curve.theta_db.size):
-        err = _fmt(float(stderr[i])) if stderr is not None else ""
-        lines.append(
-            f"{_fmt(float(curve.theta_db[i]))},{_fmt(float(curve.theta_linear[i]))},"
-            f"{_fmt(float(curve.values[i]))},{err}"
-        )
+    lines += [f"{t:.17g},{lin:.17g},{v:.17g},{e}" for t, lin, v, e in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

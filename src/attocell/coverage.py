@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,6 +162,16 @@ def coverage_at(
     )
 
 
+@lru_cache(maxsize=8)
+def _legendre(order: int):
+    """Gauss-Legendre nodes and weights of one order on [-1, 1], as
+    read-only arrays: a constant table, built once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    for column in (x, w):
+        column.setflags(write=False)
+    return x, w
+
+
 def attocell_quadrature(
     geometry: NetworkGeometry, order: int, use_symmetry: bool = True
 ):
@@ -175,7 +186,7 @@ def attocell_quadrature(
     order = int(order)
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order!r}")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     x = 0.5 * geometry.pitch * x
     w = 0.5 * w  # per-axis weights now sum to 1
     if not use_symmetry:

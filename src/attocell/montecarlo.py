@@ -85,7 +85,8 @@ class ThinningModel:
     """Bernoulli thinning: each interferer transmits with probability p.
 
     ``trunc`` replaces the geometry's lattice truncation for sampling
-    (None inherits it); the tagged LED is never part of the realization.
+    (None inherits it), and is checked as ``geometry.trunc`` where it does;
+    the tagged LED is never part of the realization.
     """
 
     p: float
@@ -96,8 +97,6 @@ class ThinningModel:
         _check_p(self.p)
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.trunc is not None and (int(self.trunc) != self.trunc or self.trunc < 1):
-            raise ValueError(f"trunc must be an integer >= 1, got {self.trunc!r}")
 
 
 @dataclass(frozen=True)

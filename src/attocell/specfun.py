@@ -4,7 +4,9 @@ Three real-argument kernels are provided:
 
 * :func:`erf` -- Gaussian error function, for the conditional coverage
   probability and the normal CDF; ``math.erf`` element by element, with a
-  float-or-array contract and a check for non-finite input.
+  float-or-array contract and a check for non-finite input.  Array
+  elements with |x| >= 6 take ``math.erf``'s own value there, exactly
+  +-1.0, without the call.
 * :func:`gamma` -- Euler gamma for positive arguments, for the dual-lattice
   series prefactors; ``math.gamma`` behind a domain check.
 * :func:`bessel_k` -- modified Bessel function of the second kind with real
@@ -27,12 +29,19 @@ __all__ = ["erf", "gamma", "bessel_k"]
 
 _EPS = float(np.finfo(float).eps)
 
+# From here on math.erf returns exactly +-1.0: fdlibm and the libms derived
+# from it (glibc, musl, the BSDs, macOS) compute one - tiny there, which
+# rounds to one.
+_ERF_SATURATED = 6.0
+
 
 def erf(x):
     """Gaussian error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt.
 
-    Accepts a float or an ndarray and returns the matching type; every value
-    is ``math.erf`` of the input.  Non-finite input raises ``ValueError``.
+    Accepts a float or an ndarray and returns the matching type (an array
+    of the input's shape); every value is ``math.erf`` of the input, which
+    for array elements with |x| >= 6 is taken as +-1.0 without the call.
+    Non-finite input raises ``ValueError``.
     """
     if not isinstance(x, np.ndarray):
         x = float(x)
@@ -42,7 +51,12 @@ def erf(x):
     values = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("erf: non-finite input")
-    return np.fromiter(map(math.erf, values.flat), float, values.size).reshape(values.shape)
+    flat = values.ravel()  # 1-d even for a 0-d input, so it can be indexed
+    out = np.copysign(1.0, flat)
+    inner = np.abs(flat) < _ERF_SATURATED
+    kept = flat[inner]
+    out[inner] = np.fromiter(map(math.erf, kept), float, kept.size)
+    return out.reshape(values.shape)
 
 
 def gamma(x: float) -> float:

@@ -18,9 +18,11 @@ from attocell.cli import (
     _FIELDS,
     ConfigError,
     RunConfig,
+    _write_curve_csv,
     load_config,
     main,
 )
+from attocell.coverage import CoverageCurve
 from attocell.model import DerivedConstants, OpticalConfig, tail_bound
 
 TINY_INI = """\
@@ -224,6 +226,21 @@ class TestSweep:
         run_cli("sweep", "--config", str(tiny_config), "--out", str(out))
         body = (out / "coverage_p0.3_h1.5_analytic.csv").read_text()
         assert "0.10000000000000001" in body  # 10^-1 rendered with 17 significant digits
+
+    @pytest.mark.parametrize("with_stderr", [False, True])
+    def test_csv_bytes(self, tmp_path, with_stderr):
+        # each cell is float(x) with 17 significant digits
+        theta_db = np.array([-20.0, -0.1, 0.0, 1.0, 5e-324])
+        theta_linear = 10.0 ** (theta_db / 10.0)
+        values = np.array([1.0, 0.1, 5e-324, 0.0, 1.0 / 3.0])
+        stderr = np.array([0.0, 1.0, 0.1, 5e-324, 2.0 / 3.0]) if with_stderr else None
+        path = tmp_path / "curve.csv"
+        _write_curve_csv(path, CoverageCurve(theta_db, theta_linear, values, stderr))
+        expected = "theta_db,theta_linear,p_c,stderr\n"
+        for i in range(values.size):
+            cells = [theta_db[i], theta_linear[i], values[i]] + ([stderr[i]] if with_stderr else [])
+            expected += ",".join(f"{float(x):.17g}" for x in cells) + ("\n" if with_stderr else ",\n")
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_byte_identical_reruns(self, tiny_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

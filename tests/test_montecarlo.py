@@ -60,10 +60,6 @@ class TestThinningModel:
             ThinningModel(p=1.2, seed=1)
         with pytest.raises(ValueError):
             ThinningModel(p=0.5, seed=-3)
-        with pytest.raises(ValueError):
-            ThinningModel(p=0.5, seed=1, trunc=0)
-        with pytest.raises(ValueError):
-            ThinningModel(p=0.5, seed=1, trunc=2.7)
 
 
 class TestSubstreams:
@@ -96,7 +92,7 @@ class TestSampling:
         assert np.all(s >= 0.0)
         assert np.all(s <= cap * (1 + 1e-12))
 
-    def test_reproducible_and_block_invariant(self, small_geometry):
+    def test_reproducible_and_prefix_stable(self, small_geometry):
         # the stream is read in trial order: a shorter run is a prefix of a
         # longer one, whatever slice the last trial falls in
         model = ThinningModel(p=0.5, seed=21)
@@ -111,6 +107,13 @@ class TestSampling:
         narrow = NetworkGeometry(small_geometry.pitch, small_geometry.height, 2)
         got = interference_samples(ThinningModel(p=0.5, seed=1, trunc=2), small_geometry, BETA, (0.1, 0.1), 70)
         assert np.array_equal(got, interference_samples(ThinningModel(p=0.5, seed=1), narrow, BETA, (0.1, 0.1), 70))
+
+    @pytest.mark.parametrize("trunc", [0, 2.7])
+    def test_model_truncation_checked_as_geometry(self, small_geometry, trunc):
+        # the override is checked where it replaces geometry.trunc, at first use
+        model = ThinningModel(p=0.5, seed=1, trunc=trunc)
+        with pytest.raises(ValueError, match=r"geometry\.trunc"):
+            interference_samples(model, small_geometry, BETA, (0.1, 0.1), 10)
 
     def test_fixed_point_error_within_bound(self, small_geometry):
         # C against the correctly rounded sum of the same sites' float weights;
@@ -298,7 +301,7 @@ class TestSpatial:
         assert np.array_equal(serial[0], parallel[0])
         assert np.array_equal(serial[1], parallel[1])
 
-    def test_curves_block_invariant(self, optics, small_geometry):
+    def test_curves_match_per_node_samples(self, optics, small_geometry):
         # the curves are the quadrature average of per-node counts over the
         # same draws interference_samples makes from substream(seed, i);
         # 300 trials end in a partial slice

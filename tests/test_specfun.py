@@ -70,6 +70,44 @@ class TestErf:
             specfun.erf(np.array([0.0, bad]))
 
 
+class TestErfContract:
+    """Every value is math.erf's, bit for bit, whatever path computes it."""
+
+    POINTS = [6.0, -6.0, math.nextafter(6.0, 0.0), math.nextafter(-6.0, 0.0), 0.0, -0.0, 1e300, -1e300]
+
+    def test_bitwise_math_erf(self):
+        # compared as bytes, so the sign of zero counts too
+        grid = np.concatenate([np.linspace(-50.0, 50.0, 200001), self.POINTS])
+        expected = np.array([math.erf(x) for x in grid.tolist()])
+        assert specfun.erf(grid).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("x", [7.0, -7.0, 0.5])
+    def test_zero_dimensional_array(self, x):
+        out = specfun.erf(np.asarray(x))
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert out == math.erf(x)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (2, 3)])
+    def test_shape_kept(self, shape):
+        values = np.linspace(-9.0, 9.0, math.prod(shape)).reshape(shape)
+        out = specfun.erf(values)
+        assert out.shape == shape
+        assert out.tobytes() == np.array([math.erf(x) for x in values.ravel().tolist()]).tobytes()
+
+    def test_nonfinite_among_saturated_raises(self):
+        with pytest.raises(ValueError):
+            specfun.erf(np.array([7.0, float("nan")]))
+
+    def test_libm_saturates_past_six(self):
+        # the assumption behind the shortcut: past 6, math.erf is exactly +-1
+        start = math.nextafter(6.0, math.inf)
+        ulps = [start]
+        for _ in range(999):
+            ulps.append(math.nextafter(ulps[-1], math.inf))
+        for x in ulps + np.geomspace(start, 1e3, 20001).tolist():
+            assert math.erf(x) == 1.0 and math.erf(-x) == -1.0
+
+
 class TestGamma:
     def test_factorials(self):
         assert specfun.gamma(4.0) == pytest.approx(6.0, rel=1e-12)
