@@ -352,13 +352,24 @@ def _curve_filename(p: float, height: float, method: str) -> str:
     return f"coverage_p{p:g}_h{height:g}_{method}.csv"
 
 
+def _write_output(path: Path, text: str) -> None:
+    """Write one output file anew, replacing the file or symlink at ``path``.
+
+    On ext4 (``auto_da_alloc``, its default), closing a file that was
+    truncated, or renaming over an existing file, flushes its data to disk:
+    tens of ms per file. Unlinking the old file first costs no flush. A
+    symlink at ``path`` is itself replaced, never followed."""
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_curve_csv(path: Path, curve: CoverageCurve) -> None:
     # .tolist() gives Python floats, so each cell is _fmt(float(x))
     stderr = [""] * curve.values.size if curve.stderr is None else list(map(_fmt, curve.stderr.tolist()))
     rows = zip(curve.theta_db.tolist(), curve.theta_linear.tolist(), curve.values.tolist(), stderr)
     lines = ["theta_db,theta_linear,p_c,stderr"]
     lines += [f"{t:.17g},{lin:.17g},{v:.17g},{e}" for t, lin, v, e in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_output(path, "\n".join(lines) + "\n")
 
 
 def _analytic_curves(
@@ -438,9 +449,7 @@ def run_sweep(cfg: RunConfig) -> int:
         manifest["max_abs_diff_overall"] = max(diffs.values())
     if tails:
         manifest["montecarlo_tail_bound"] = tails
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_output(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote manifest.json ({len(outputs)} curve files) to {out_dir}", file=sys.stderr)
     return EXIT_OK
 

@@ -1,8 +1,11 @@
 """Public API surface: every exported name resolves, so a deletion cannot
-leave a stale export behind."""
+leave a stale export behind. Every file the package writes goes through
+``cli._write_output``."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +26,76 @@ def test_star_import():
     namespace = {}
     exec("from attocell import *", namespace)
     assert set(attocell.__all__) <= set(namespace)
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """An ``open(file, mode)`` or ``path.open(mode)`` call whose mode may
+    write: it holds w, a or x, or is not a string literal."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        # path.open(mode), but io.open(file, mode) and os.open(file, flags)
+        module = isinstance(func.value, ast.Name) and func.value.id in ("io", "os")
+        position = 1 if module else 0
+    else:
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg in ("mode", "flags")]
+    modes += call.args[position : position + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return any(c in mode.value for c in "wax")
+
+
+def _writers(tree: ast.AST):
+    """(function, line) of every call in ``tree`` that writes a file."""
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                (isinstance(child.func, ast.Attribute) and child.func.attr in ("write_text", "write_bytes"))
+                or _opens_for_writing(child)
+            ):
+                yield function, child.lineno
+            yield from walk(child, function)
+
+    yield from walk(tree, None)
+
+
+def test_one_writer():
+    # a second writer could truncate an existing output in place, which
+    # costs an ext4 flush per file on every rerun into the same --out
+    found = []
+    for path in sorted(Path(attocell.__file__).parent.glob("*.py")):
+        for function, line in _writers(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name, function) != ("cli.py", "_write_output"):
+                found.append(f"{path.name}:{line} in {function}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "open(p, 'w')",
+        "open(p, mode='a', encoding='utf-8')",
+        "open(p, 'xb')",
+        "open(p, m)",
+        "p.open('w')",
+        "p.write_text('x')",
+        "p.write_bytes(b'x')",
+        "io.open(p, 'w+')",
+    ],
+)
+def test_writer_guard_sees(source):
+    assert list(_writers(ast.parse(source))) == [(None, 1)]
+
+
+@pytest.mark.parametrize("source", ["open(p)", "open(p, 'rb')", "p.open()", "p.read_text()", "io.open(p, 'r')"])
+def test_writer_guard_ignores_reads(source):
+    assert list(_writers(ast.parse(source))) == []

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import warnings
 from pathlib import Path
@@ -294,6 +295,49 @@ class TestSweep:
         blocker.write_text("x")
         code = run_cli("sweep", "--config", str(tiny_config), "--out", str(blocker / "sub"))
         assert code == EXIT_IO
+
+    CSV = "coverage_p0.3_h1.5_analytic.csv"
+
+    def _sweep(self, tiny_config, out):
+        return run_cli("sweep", "--config", str(tiny_config), "--out", str(out))
+
+    def test_rerun_into_same_out_is_byte_identical(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        assert self._sweep(tiny_config, out) == EXIT_OK
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert self._sweep(tiny_config, out) == EXIT_OK
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+
+    def test_rerun_replaces_rather_than_rewrites(self, tiny_config, tmp_path):
+        # a hard link keeps the first run's file: the rerun made a new one
+        out = tmp_path / "out"
+        self._sweep(tiny_config, out)
+        link = tmp_path / "link.csv"
+        os.link(out / self.CSV, link)
+        assert self._sweep(tiny_config, out) == EXIT_OK
+        assert link.exists()
+        assert not os.path.samefile(link, out / self.CSV)
+        assert link.stat().st_nlink == 1
+        assert link.read_bytes() == (out / self.CSV).read_bytes()
+
+    def test_symlink_at_output_is_replaced_not_followed(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "target.txt"
+        target.write_text("keep me")
+        (out / self.CSV).symlink_to(target)
+        (out / "manifest.json").symlink_to(target)
+        assert self._sweep(tiny_config, out) == EXIT_OK
+        assert not (out / self.CSV).is_symlink() and (out / self.CSV).is_file()
+        assert not (out / "manifest.json").is_symlink()
+        assert (out / self.CSV).read_text().startswith("theta_db,")
+        assert target.read_text() == "keep me"
+
+    def test_directory_at_output_exit_code(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        (out / self.CSV).mkdir(parents=True)
+        assert self._sweep(tiny_config, out) == EXIT_IO
+        assert (out / self.CSV).is_dir()
 
 
 class TestFlags:
