@@ -41,8 +41,11 @@ block shape, thread count or FMA gives the same C, equal bit for bit to
 the float64 sum of the fixed-point weights.  The rounding moves C by at
 most n * 2^-53 * S_m for n sites (to first order), where S_m = sum_i w_i
 over the sampled lattice.  Internally the words are drawn, compared and
-summed a fixed slice of 64 trials at a time, which keeps them and the
-mask in cache and bounds memory in the trial count.
+summed a slice of at most 64 trials at a time, which keeps them and the
+mask in cache and bounds memory in the trial count; a slice is cut
+shorter where that keeps its product within OpenBLAS's small-matrix sgemm
+(see ``_SMALL_GEMM``).  Slicing only groups the words, in the same order,
+so it changes no result.
 """
 
 from __future__ import annotations
@@ -78,6 +81,13 @@ __all__ = [
 # trials drawn, compared and summed at once: keeps the words and the mask in
 # cache
 _SLICE = 64
+
+# largest M*N*K that OpenBLAS's small-matrix sgemm takes (100^3 in its x86-64
+# kernels).  That kernel runs on the calling thread; a larger product goes to
+# the blocked kernel, which for a mask against a few limbs was 2x slower per
+# trial on a 2-vCPU AMD EPYC and wakes OpenBLAS worker threads that keep
+# spinning between calls, so run times jumped with the load on the other CPU
+_SMALL_GEMM = 100**3
 
 
 @dataclass(frozen=True)
@@ -146,7 +156,8 @@ def _limbs(w_int: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
-    """Yield, for each slice of up to ``_SLICE`` trials in order, C under
+    """Yield, for each slice of up to ``_SLICE`` trials in order (fewer where
+    a slice's product would pass ``_SMALL_GEMM``), C under
     every p in ``p_list`` as one array of shape (len(p_list), rows).  One
     32-bit Philox word per (trial, site) is drawn once and shared across
     the p grid, and a site transmits when its word falls below the cut of
@@ -165,10 +176,11 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
     place = bits * np.arange(limbs.shape[1])
     # u = (r >> 8) 2^-24 < float32(p)  <=>  r < ceil(float32(p) 2^24) 2^8
     cuts = [math.ceil(float(np.float32(p)) * 2**24) << 8 for p in p_list]
-    mask = np.empty((min(trials, _SLICE), n), dtype=np.float32)
-    sums = np.empty((len(cuts), mask.shape[0], limbs.shape[1]), dtype=np.float32)
-    for i in range(0, trials, _SLICE):
-        rows = min(_SLICE, trials - i)
+    slice_rows = max(1, min(_SLICE, trials, _SMALL_GEMM // (n * limbs.shape[1])))
+    mask = np.empty((slice_rows, n), dtype=np.float32)
+    sums = np.empty((len(cuts), slice_rows, limbs.shape[1]), dtype=np.float32)
+    for i in range(0, trials, slice_rows):
+        rows = min(slice_rows, trials - i)
         # little-endian: the low half of each 64-bit word comes first
         raw = rng.bit_generator.random_raw(rows * n // 2)
         r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)

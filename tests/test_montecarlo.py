@@ -25,7 +25,7 @@ from attocell import (
 import attocell.montecarlo
 from attocell.coverage import _eta_grid, attocell_quadrature
 from attocell.model import interference_weights
-from attocell.montecarlo import _fixed_point_weights, _node_counts, _thinned_sums, substream
+from attocell.montecarlo import _fixed_point_weights, _limbs, _node_counts, _thinned_sums, substream
 
 BETA = 4.0
 # float32(1 - 1e-9) == 1, so the last two both give every site
@@ -163,6 +163,18 @@ class TestDraws:
         counts = _node_counts(small_geometry, BETA, P_GRID, 1100, 9, 2, zx, zy, eta_row)
         for k, c in enumerate(want):
             assert np.array_equal(counts[k], (c[:, None] < eta_row[None, :]).sum(axis=0))
+
+    def test_slices_cut_to_small_gemm(self, small_geometry, monkeypatch):
+        # a slice whose product would pass _SMALL_GEMM is cut shorter; the
+        # words are read in the same order, so C is unchanged
+        pos = (0.1, -0.05)
+        w = interference_weights(small_geometry, BETA, pos)
+        limb_count = _limbs(_fixed_point_weights(w)[0])[0].shape[1]
+        monkeypatch.setattr(attocell.montecarlo, "_SMALL_GEMM", 7 * w.size * limb_count + 1)
+        slices = [c for c, in _thinned_sums(substream(6, 1), w, (0.5,), 1100)]
+        assert [c.size for c in slices] == [7] * 157 + [1]
+        (want,) = _reference_sums(substream(6, 1), w, (0.5,), 1100, 64)
+        assert np.array_equal(np.concatenate(slices), want)
 
     @pytest.mark.parametrize(
         "make",
