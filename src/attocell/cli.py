@@ -415,7 +415,9 @@ def _max_deviation(a: dict[float, CoverageCurve], b: dict[float, CoverageCurve])
 
 def run_sweep(cfg: RunConfig) -> int:
     """Compute every curve, then write the CSVs and the manifest: a
-    configuration that fails leaves no output directory behind."""
+    configuration that fails leaves no output directory behind.  A previous
+    run's manifest goes before the first CSV is written, so a write that
+    fails partway leaves no manifest that describes other curves."""
     cfg.validate(series="analytic" in cfg.methods)
     curves: list[tuple[str, CoverageCurve]] = []
     diffs = {}
@@ -435,6 +437,7 @@ def run_sweep(cfg: RunConfig) -> int:
                 diffs[f"p{p:g}_h{height:g}"] = delta
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     for name, curve in curves:
         _write_curve_csv(out_dir / name, curve)
         print(f"wrote {name}", file=sys.stderr)

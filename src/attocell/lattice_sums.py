@@ -11,14 +11,15 @@ exponent and every node, as an array of shape (len(exponents), len(zx)).
 It is the one place that picks the evaluator:
 
 * ``sums="brute"`` -- direct summation over the truncated window
-  |u|, |v| <= ``geometry.trunc`` (``sm_brute`` per node and exponent),
-  accumulated in ascending |u|+|v| rings whose subtotals are combined by
-  ``math.fsum`` (correctly rounded); the terms span ~13 decades between the
-  nearest and farthest sites.  The site coordinates are cached per
-  truncation as read-only float64 columns already sorted into ring order,
-  so a call computes its terms straight into ring order and gathers
-  nothing.  ``sm_brute`` also attaches an analytic bound on the omitted
-  mass.
+  |u|, |v| <= ``geometry.trunc``, accumulated in ascending |u|+|v| rings
+  whose subtotals are combined by ``math.fsum`` (correctly rounded); the
+  terms span ~13 decades between the nearest and farthest sites.  The site
+  coordinates are cached per truncation as read-only float64 columns
+  already sorted into ring order, so the terms come straight out in ring
+  order and nothing is gathered.  A call makes one site pass per node for
+  all its exponents in two site-length buffers: D^2 + h^2 is written once
+  into the first, then each exponent's weights into the second.
+  ``sm_brute`` also attaches an analytic bound on the omitted mass.
 
 * ``sums="series"`` -- the closed form obtained by Poisson summation over
   the dual lattice, vectorized over the nodes:
@@ -61,7 +62,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NetworkGeometry, _site_columns, _site_weights, _with_trunc, position_xy, tail_bound
+from .model import NetworkGeometry, _site_bases, _site_columns, _site_weights, _with_trunc
+from .model import position_xy, tail_bound
 from .specfun import bessel_k, gamma
 
 __all__ = [
@@ -100,10 +102,19 @@ def _ring_sites(trunc: int):
     return u, v, starts
 
 
-def _brute_value(geometry: NetworkGeometry, exponent: float, zx: float, zy: float) -> float:
+def _brute_values(geometry: NetworkGeometry, exponents: list[float], zx, zy) -> np.ndarray:
+    """The ``sums="brute"`` branch of ``moment_sums``: one site pass per node
+    in two site-length buffers, as the module docstring describes."""
     u, v, starts = _ring_sites(geometry.trunc)
-    terms = _site_weights(geometry, exponent, zx, zy, u, v)
-    return math.fsum(np.add.reduceat(terms, starts).tolist())
+    base = np.empty_like(u)
+    work = np.empty_like(u)
+    values = np.empty((len(exponents), zx.size))
+    for i, (x, y) in enumerate(zip(zx.tolist(), zy.tolist())):
+        _site_bases(geometry, x, y, u, v, out=base, tmp=work)
+        for k, e in enumerate(exponents):
+            rings = np.add.reduceat(_site_weights(base, e, out=work), starts)
+            values[k, i] = math.fsum(rings.tolist())
+    return values
 
 
 def _check_exponent(exponent: float) -> float:
@@ -115,11 +126,13 @@ def _check_exponent(exponent: float) -> float:
 
 def sm_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None) -> SumResult:
     """Mean sum S_m by direct summation over the lattice truncated at
-    ``geometry.trunc``, or at ``trunc`` rings when given."""
+    ``geometry.trunc``, or at ``trunc`` rings when given (``moment_sums`` at
+    one position), with the bound on the mass outside it."""
     e = _check_exponent(beta)
     zx, zy = position_xy(pos)
     geometry = _with_trunc(geometry, trunc)
-    return SumResult(_brute_value(geometry, e, zx, zy), tail_bound(geometry, e))
+    value = float(moment_sums(geometry, (e,), zx, zy, "brute")[0, 0])
+    return SumResult(value, tail_bound(geometry, e))
 
 
 def sv_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None) -> SumResult:
@@ -204,7 +217,8 @@ def moment_sums(
     window jl = (j, l), i.e. [0, j] x [0, l] minus the origin; (1, 1) is
     ample for h/a >= 3 and (0, 0) keeps only the integral and self terms.
     ``sums="brute"`` sums the lattice directly out to ``geometry.trunc``
-    rings, one ``sm_brute`` call per node and exponent.
+    rings: per node, D^2 + h^2 is computed once and raised to each exponent,
+    with two site-length buffers live for the whole call.
     """
     exponents = [_check_exponent(e) for e in exponents]
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
@@ -219,9 +233,7 @@ def moment_sums(
         _check_series(geometry, exponents, zx, zy, jl, values)
         return values
     if sums == "brute":
-        return np.array(
-            [[sm_brute(geometry, e, (x, y)).value for x, y in zip(zx, zy)] for e in exponents]
-        )
+        return _brute_values(geometry, exponents, zx, zy)
     raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")
 
 

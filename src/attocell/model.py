@@ -208,27 +208,36 @@ def lattice_sites(trunc: int) -> np.ndarray:
     return sites
 
 
-def _distance_sq(a: float, zx: float, zy: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(u a + z_x)^2 + (v a + z_y)^2 per site of the columns u, v, as a fresh
-    array; one temporary besides it."""
-    d2 = u * a
+def _distance_sq(
+    a: float, zx: float, zy: float, u: np.ndarray, v: np.ndarray, out=None, tmp=None
+) -> np.ndarray:
+    """(u a + z_x)^2 + (v a + z_y)^2 per site of the columns u, v, written
+    into ``out`` with ``tmp`` as its one temporary (each fresh when None)."""
+    d2 = np.multiply(u, a, out=out)
     d2 += zx
     d2 *= d2
-    dy = v * a
+    dy = np.multiply(v, a, out=tmp)
     dy += zy
     dy *= dy
     d2 += dy
     return d2
 
 
-def _site_weights(
-    geometry: NetworkGeometry, exponent: float, zx: float, zy: float, u: np.ndarray, v: np.ndarray
+def _site_bases(
+    geometry: NetworkGeometry, zx: float, zy: float, u: np.ndarray, v: np.ndarray, out=None, tmp=None
 ) -> np.ndarray:
-    """(D^2 + h^2)^(-exponent) per site of the coordinate columns u, v, in
-    their order, as a fresh array; the one home of the weight formula."""
-    w = _distance_sq(geometry.pitch, zx, zy, u, v)
-    w += geometry.height**2
-    return np.power(w, -float(exponent), out=w)
+    """D^2 + h^2 per site of the coordinate columns u, v, in their order: the
+    base of every weight, written into ``out`` as ``_distance_sq`` does."""
+    base = _distance_sq(geometry.pitch, zx, zy, u, v, out, tmp)
+    base += geometry.height**2
+    return base
+
+
+def _site_weights(base: np.ndarray, exponent: float, out=None) -> np.ndarray:
+    """(D^2 + h^2)^(-exponent) from the bases of ``_site_bases``, written into
+    ``out`` (fresh when None; ``base`` itself is allowed).  With
+    ``_site_bases``, the one home of the weight formula."""
+    return np.power(base, -float(exponent), out=out)
 
 
 def interferer_distance_sq(geometry: NetworkGeometry, pos) -> np.ndarray:
@@ -244,7 +253,8 @@ def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.
     at ``geometry.trunc``, in ``lattice_sites`` order; with exponent beta
     they are the interferers' squared gains over K^2."""
     zx, zy = position_xy(pos)
-    return _site_weights(geometry, exponent, zx, zy, *_site_columns(geometry.trunc))
+    base = _site_bases(geometry, zx, zy, *_site_columns(geometry.trunc))
+    return _site_weights(base, exponent, out=base)
 
 
 def sinr(

@@ -298,8 +298,8 @@ class TestSweep:
 
     CSV = "coverage_p0.3_h1.5_analytic.csv"
 
-    def _sweep(self, tiny_config, out):
-        return run_cli("sweep", "--config", str(tiny_config), "--out", str(out))
+    def _sweep(self, tiny_config, out, *flags):
+        return run_cli("sweep", "--config", str(tiny_config), "--out", str(out), *flags)
 
     def test_rerun_into_same_out_is_byte_identical(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -338,6 +338,18 @@ class TestSweep:
         (out / self.CSV).mkdir(parents=True)
         assert self._sweep(tiny_config, out) == EXIT_IO
         assert (out / self.CSV).is_dir()
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, tiny_config, tmp_path):
+        # the rerun writes the p = 0.3 curve at order 32, then fails on p = 0.8:
+        # the order-8 manifest must not stay beside the order-32 CSV
+        out = tmp_path / "out"
+        assert self._sweep(tiny_config, out, "--quad-order", "8") == EXIT_OK
+        first = (out / self.CSV).read_bytes()
+        (out / "coverage_p0.8_h1.5_analytic.csv").unlink()
+        (out / "coverage_p0.8_h1.5_analytic.csv").mkdir()
+        assert self._sweep(tiny_config, out, "--quad-order", "32") == EXIT_IO
+        assert not (out / "manifest.json").exists()
+        assert (out / self.CSV).read_bytes() != first
 
 
 class TestFlags:

@@ -1,6 +1,7 @@
 """Brute-force and closed-form moment sums against each other."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,36 @@ class TestMomentSums:
             for i, pos in enumerate(zip(zx, zy)):
                 assert series[k, i] == sm_series(geometry, e, pos).value
                 assert brute[k, i] == sm_brute(geometry, e, pos).value
+
+    @pytest.mark.parametrize("trunc", [15, 200])
+    def test_brute_rows_match_ring_oracle(self, optics, trunc):
+        # the one-pass kernel against the independent per-call ring fsum,
+        # for more exponents than the coverage path asks for
+        geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
+        beta = DerivedConstants.from_configs(optics, geometry).beta
+        zx, zy, _ = attocell_quadrature(geometry, 3)
+        exponents = (beta, 2 * beta, 3 * beta, 4 * beta)
+        brute = moment_sums(geometry, exponents, zx, zy, sums="brute")
+        for k, e in enumerate(exponents):
+            for i, pos in enumerate(zip(zx, zy)):
+                assert brute[k, i] == ring_fsum(geometry, e, pos, trunc)
+            alone = moment_sums(geometry, (e,), zx, zy, sums="brute")
+            assert np.array_equal(alone[0], brute[k])
+        reverse = moment_sums(geometry, exponents[::-1], zx, zy, sums="brute")
+        assert np.array_equal(reverse, brute[::-1])
+
+    def test_brute_keeps_two_site_arrays(self, geometry):
+        # one buffer for D^2 + h^2 and one for the weights, whatever the
+        # number of nodes and exponents
+        sites = _ring_sites(geometry.trunc)[0].size
+        zx, zy = np.linspace(-0.25, 0.25, 10), np.linspace(0.25, -0.2, 10)
+        tracemalloc.start()
+        try:
+            moment_sums(geometry, (4.0, 8.0, 12.0, 16.0), zx, zy, sums="brute")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * sites * 8
 
     def test_node_arrays_must_match(self, geometry):
         # brute force would zip the nodes short and the series broadcast them
