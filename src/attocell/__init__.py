@@ -8,16 +8,13 @@ writes CSV curves.
 """
 
 from .coverage import (
-    ConditionalCoverage,
     CoverageCurve,
     attocell_quadrature,
     conditional_coverage,
-    coverage_at,
     coverage_curve,
     coverage_spatial,
     db_to_linear,
     eta,
-    linear_to_db,
     threshold_at_level,
 )
 from .lattice_sums import SumResult, moment_sums, sm_brute, sm_series, sv_brute, sv_series
@@ -25,7 +22,6 @@ from .model import (
     DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
-    ReceiverPosition,
     TABLE_DEFAULT_OPTICS,
     channel_gain,
     lambertian_order,
@@ -43,16 +39,13 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionalCoverage",
     "CoverageCurve",
     "attocell_quadrature",
     "conditional_coverage",
-    "coverage_at",
     "coverage_curve",
     "coverage_spatial",
     "db_to_linear",
     "eta",
-    "linear_to_db",
     "threshold_at_level",
     "SumResult",
     "moment_sums",
@@ -63,7 +56,6 @@ __all__ = [
     "DerivedConstants",
     "NetworkGeometry",
     "OpticalConfig",
-    "ReceiverPosition",
     "TABLE_DEFAULT_OPTICS",
     "channel_gain",
     "lambertian_order",

@@ -22,8 +22,8 @@ values it reads.  CSV cells are printed with 17 significant digits and
 '\\n' line endings, so identical configurations and seeds produce
 byte-identical files.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 validation
-failure, 3 I/O error.
+Exit codes: 0 success, 1 configuration or usage error (a setting too large
+for memory included), 2 validation failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -124,6 +124,16 @@ def _each(ok, complaint: str):
     return check
 
 
+def _printed_once(values) -> str | None:
+    """Entries that print the same would write one curve file twice."""
+    printed = [v if isinstance(v, str) else f"{v:g}" for v in values]
+    for i, text in enumerate(printed):
+        first = printed.index(text)
+        if first < i:
+            return f"entries {values[first]!r} and {values[i]!r} both print as {text!r} in curve file names"
+    return None
+
+
 @dataclass(frozen=True)
 class _Flag:
     """The command-line option that overrides a setting, and the
@@ -165,6 +175,7 @@ class RunConfig:
         (1.5, 2.0, 2.5, 3.0),
         _numbers,
         _each(lambda h: math.isfinite(h) and h > 0, "heights must be > 0, got {!r}"),
+        _printed_once,
         flag=_Flag("--heights", str, "comma-separated LED heights (m)", _CURVES),
     )
     trunc: int = _setting("geometry", 200, _integer, _at_least(1), flag=_Flag(
@@ -174,6 +185,7 @@ class RunConfig:
         (0.3, 0.5, 0.8),
         _numbers,
         _each(lambda p: 0.0 <= p <= 1.0, "probabilities must be in [0, 1], got {!r}"),
+        _printed_once,
         flag=_Flag("--p", str, "comma-separated thinning probabilities", _CURVES),
     )
     theta_db_start: float = _setting("sweep", -20.0, _number, _finite)
@@ -184,6 +196,7 @@ class RunConfig:
         ("analytic",),
         _names,
         _each(lambda m: m in _METHODS, f"unknown method {{!r}} (choose from {_METHODS})"),
+        _printed_once,
         flag=_Flag("--methods", str, "comma-separated subset of analytic,montecarlo,brute"),
     )
     seed: int = _setting("thinning", 20250809, _integer, _at_least(0), flag=_Flag(
@@ -592,6 +605,9 @@ def main(argv=None) -> int:
         return run_sums(cfg, pos, jl, args.height)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

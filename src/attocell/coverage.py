@@ -41,13 +41,10 @@ from .model import (
 )
 
 __all__ = [
-    "ConditionalCoverage",
     "CoverageCurve",
     "db_to_linear",
-    "linear_to_db",
     "eta",
     "conditional_coverage",
-    "coverage_at",
     "coverage_spatial",
     "coverage_curve",
     "attocell_quadrature",
@@ -60,10 +57,6 @@ _SQRT2 = math.sqrt(2.0)
 def db_to_linear(theta_db):
     """Electrical SINR threshold: theta = 10^(dB/10)."""
     return 10.0 ** (np.asarray(theta_db, dtype=float) / 10.0)
-
-
-def linear_to_db(theta_linear):
-    return 10.0 * np.log10(np.asarray(theta_linear, dtype=float))
 
 
 def _eta_grid(
@@ -122,44 +115,11 @@ def conditional_coverage(eta_value, mu, sigma1):
     return float(value) if np.ndim(value) == 0 else value
 
 
-@dataclass(frozen=True)
-class ConditionalCoverage:
-    """Coverage at one position and threshold, with its ingredients."""
-
-    eta: float
-    mu: float
-    sigma1: float
-    value: float
-
-
 def _check_p(p: float) -> float:
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"thinning probability must be in [0, 1], got {p!r}")
     return p
-
-
-def coverage_at(
-    optical: OpticalConfig,
-    geometry: NetworkGeometry,
-    p: float,
-    pos,
-    theta_linear: float,
-    sums: str = "series",
-) -> ConditionalCoverage:
-    """Conditional coverage P[gamma(z) > theta | z] at one position.
-
-    ``sums`` selects how the moment sums are evaluated: "series" (closed
-    form over ``moment_sums``' default mode window) or "brute" (direct
-    summation out to ``geometry.trunc`` rings).
-    """
-    zx, zy = position_xy(pos)
-    e, mu, sigma1, mass = _node_coverage(
-        optical, geometry, p, [zx], [zy], theta_linear, sums
-    )
-    return ConditionalCoverage(
-        eta=float(e[0, 0]), mu=float(mu[0]), sigma1=float(sigma1[0]), value=float(mass[0, 0])
-    )
 
 
 @lru_cache(maxsize=8)
@@ -205,26 +165,6 @@ def attocell_quadrature(
     return hx[i], hx[j], np.where(i == j, 1.0, 2.0) * hw[i] * hw[j]
 
 
-def _node_coverage(
-    optical: OpticalConfig,
-    geometry: NetworkGeometry,
-    p: float,
-    zx,
-    zy,
-    theta_linear,
-    sums: str,
-):
-    """(eta, mu, sigma1, mass) at the nodes (zx, zy): eta and the Gaussian
-    mass over a (threshold, node) grid, mu and sigma1 per node."""
-    p = _check_p(p)
-    consts = DerivedConstants.from_configs(optical, geometry)
-    eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
-    s_m, s_v = moment_sums(geometry, (consts.beta, 2.0 * consts.beta), zx, zy, sums)
-    mu = p * s_m
-    sigma1 = np.sqrt(p * (1.0 - p) * s_v)
-    return eta_grid, mu, sigma1, conditional_coverage(eta_grid, mu[None, :], sigma1[None, :])
-
-
 def _spatial_values(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
@@ -234,8 +174,14 @@ def _spatial_values(
     sums: str,
     use_symmetry: bool,
 ) -> np.ndarray:
+    """The one path behind ``coverage_spatial`` and ``coverage_curve``: per
+    threshold, the Gaussian mass at every quadrature node, weighted and summed."""
+    p = _check_p(p)
+    consts = DerivedConstants.from_configs(optical, geometry)
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
-    mass = _node_coverage(optical, geometry, p, zx, zy, theta_linear, sums)[3]
+    eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
+    s_m, s_v = moment_sums(geometry, (consts.beta, 2.0 * consts.beta), zx, zy, sums)
+    mass = conditional_coverage(eta_grid, p * s_m[None, :], np.sqrt(p * (1.0 - p) * s_v)[None, :])
     return np.clip(mass @ wq, 0.0, 1.0)
 
 
@@ -248,7 +194,9 @@ def coverage_spatial(
     sums: str = "series",
     use_symmetry: bool = True,
 ) -> float:
-    """Coverage probability averaged over the attocell at one threshold."""
+    """Coverage probability averaged over the attocell at one threshold, with
+    the moment sums from ``sums="series"`` (closed form over ``moment_sums``'
+    default mode window) or ``"brute"`` (out to ``geometry.trunc`` rings)."""
     values = _spatial_values(
         optical, geometry, p, float(theta_linear), quad_order, sums, use_symmetry
     )
@@ -288,7 +236,6 @@ def coverage_curve(
     the grid, so the cost is one lattice-sum pass plus one erf evaluation
     per (node, theta) pair.
     """
-    p = _check_p(p)
     theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
     theta_lin = db_to_linear(theta_db)
     values = _spatial_values(

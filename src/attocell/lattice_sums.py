@@ -140,17 +140,16 @@ def sv_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = No
     return sm_brute(geometry, 2.0 * _check_exponent(beta), pos, trunc)
 
 
-def _integral_term(geometry: NetworkGeometry, e: float) -> float:
-    a = geometry.pitch
-    return math.pi * geometry.height ** (2.0 - 2.0 * e) / (a * a * (e - 1.0))
-
-
-def _dual_modes(geometry: NetworkGeometry, e: float, zx, zy, jl: tuple[int, int]):
-    """Yield (w, f, weight, g(w, f)) for every dual mode in the window, with
-    g as in the module docstring (scalar or array, following zx and zy) and
-    weight its image multiplicity relative to an interior mode."""
+def _series_terms(geometry: NetworkGeometry, e: float, zx, zy, jl: tuple[int, int]):
+    """Yield (term, weight, value) for every term of the series, in summation
+    order: the integral term, the negated self term, then each dual mode in
+    the window with its g(w, f) as in the module docstring and its image
+    multiplicity relative to an interior mode as weight.  Values are scalars
+    or arrays, following zx and zy."""
     a = geometry.pitch
     h = geometry.height
+    yield "integral", 1.0, math.pi * h ** (2.0 - 2.0 * e) / (a * a * (e - 1.0))
+    yield "self", 1.0, -((zx * zx + zy * zy + h * h) ** (-e))
     gamma_e = gamma(e)
     for w in range(jl[0] + 1):
         for f in range(jl[1] + 1):
@@ -165,18 +164,17 @@ def _dual_modes(geometry: NetworkGeometry, e: float, zx, zy, jl: tuple[int, int]
                 / math.pi
             )
             weight = 0.5 if (w == 0 or f == 0) else 1.0
-            yield w, f, weight, radial * np.cos(2.0 * math.pi * w * zx / a) * np.cos(
+            yield f"mode({w},{f})", weight, radial * np.cos(2.0 * math.pi * w * zx / a) * np.cos(
                 2.0 * math.pi * f * zy / a
             )
 
 
 def _series_value(geometry: NetworkGeometry, exponent: float, zx, zy, jl: tuple[int, int]):
-    """Closed-form series; zx, zy may be scalars or equal-shape arrays."""
-    e = float(exponent)
-    h = geometry.height
-    z2 = zx * zx + zy * zy
-    value = _integral_term(geometry, e) - (z2 + h * h) ** (-e)
-    for _, _, weight, g in _dual_modes(geometry, e, zx, zy, jl):
+    """Closed-form series; zx, zy may be scalars or equal-shape arrays.
+    Adding the negated self term to the integral term gives the same bits as
+    subtracting it."""
+    value = 0.0
+    for _, weight, g in _series_terms(geometry, float(exponent), zx, zy, jl):
         value = value + weight * g
     return value
 
@@ -271,20 +269,11 @@ def series_mode_terms(
     mode with its multiplicity weight, the uniform-weight value it would
     have contributed, and the weighted contribution actually used.
     """
-    e = _check_exponent(exponent)
     zx, zy = position_xy(pos)
-    h = geometry.height
-    rows = [
-        {"term": "integral", "weight": 1.0, "contribution": _integral_term(geometry, e)},
-        {"term": "self", "weight": 1.0, "contribution": -((zx * zx + zy * zy + h * h) ** (-e))},
-    ]
-    for w, f, weight, g in _dual_modes(geometry, e, zx, zy, _check_jl(jl)):
-        rows.append(
-            {
-                "term": f"mode({w},{f})",
-                "weight": weight,
-                "uniform_value": float(g),
-                "contribution": float(weight * g),
-            }
-        )
+    rows = []
+    for term, weight, g in _series_terms(geometry, _check_exponent(exponent), zx, zy, _check_jl(jl)):
+        row = {"term": term, "weight": weight, "contribution": float(weight * g)}
+        if term.startswith("mode"):
+            row["uniform_value"] = float(g)
+        rows.append(row)
     return rows

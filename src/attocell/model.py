@@ -34,14 +34,12 @@ import numpy as np
 __all__ = [
     "OpticalConfig",
     "NetworkGeometry",
-    "ReceiverPosition",
     "DerivedConstants",
     "TABLE_DEFAULT_OPTICS",
     "lambertian_order",
     "channel_gain",
     "sinr",
     "lattice_sites",
-    "interferer_distance_sq",
     "interference_weights",
     "tail_bound",
 ]
@@ -115,22 +113,9 @@ def _with_trunc(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeometry
     return geometry if trunc is None else replace(geometry, trunc=trunc)
 
 
-@dataclass(frozen=True)
-class ReceiverPosition:
-    """PD location on the floor plane, metres from the tagged LED's axis."""
-
-    x: float
-    y: float
-
-    @property
-    def r_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
-
-
 def position_xy(pos) -> tuple[float, float]:
-    """Accept a ReceiverPosition or any (x, y) pair."""
-    if isinstance(pos, ReceiverPosition):
-        return pos.x, pos.y
+    """The PD location on the floor plane, metres from the tagged LED's axis,
+    from any (x, y) pair."""
     x, y = pos
     return float(x), float(y)
 
@@ -208,27 +193,20 @@ def lattice_sites(trunc: int) -> np.ndarray:
     return sites
 
 
-def _distance_sq(
-    a: float, zx: float, zy: float, u: np.ndarray, v: np.ndarray, out=None, tmp=None
-) -> np.ndarray:
-    """(u a + z_x)^2 + (v a + z_y)^2 per site of the columns u, v, written
-    into ``out`` with ``tmp`` as its one temporary (each fresh when None)."""
-    d2 = np.multiply(u, a, out=out)
-    d2 += zx
-    d2 *= d2
-    dy = np.multiply(v, a, out=tmp)
-    dy += zy
-    dy *= dy
-    d2 += dy
-    return d2
-
-
 def _site_bases(
     geometry: NetworkGeometry, zx: float, zy: float, u: np.ndarray, v: np.ndarray, out=None, tmp=None
 ) -> np.ndarray:
-    """D^2 + h^2 per site of the coordinate columns u, v, in their order: the
-    base of every weight, written into ``out`` as ``_distance_sq`` does."""
-    base = _distance_sq(geometry.pitch, zx, zy, u, v, out, tmp)
+    """D^2 + h^2 = (u a + z_x)^2 + (v a + z_y)^2 + h^2 per site of the
+    coordinate columns u, v, in their order: the base of every weight,
+    written into ``out`` with ``tmp`` as its one temporary (each fresh when
+    None)."""
+    base = np.multiply(u, geometry.pitch, out=out)
+    base += zx
+    base *= base
+    dy = np.multiply(v, geometry.pitch, out=tmp)
+    dy += zy
+    dy *= dy
+    base += dy
     base += geometry.height**2
     return base
 
@@ -238,14 +216,6 @@ def _site_weights(base: np.ndarray, exponent: float, out=None) -> np.ndarray:
     ``out`` (fresh when None; ``base`` itself is allowed).  With
     ``_site_bases``, the one home of the weight formula."""
     return np.power(base, -float(exponent), out=out)
-
-
-def interferer_distance_sq(geometry: NetworkGeometry, pos) -> np.ndarray:
-    """Squared horizontal PD-to-LED distances D_i^2 = (u a + z_x)^2 +
-    (v a + z_y)^2 over the lattice truncated at ``geometry.trunc``, in
-    ``lattice_sites`` order."""
-    zx, zy = position_xy(pos)
-    return _distance_sq(geometry.pitch, zx, zy, *_site_columns(geometry.trunc))
 
 
 def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.ndarray:

@@ -89,6 +89,10 @@ class TestRunConfig:
             ("theta_db_step", math.nan),
             ("theta_db_start", -math.inf),
             ("theta_db_stop", math.nan),
+            # entries that print the same under :g name the same curve file
+            ("heights", (1.5, 1.5)),
+            ("p_list", (0.3, 0.3000001)),
+            ("methods", ("analytic", "analytic")),
         ],
     )
     def test_validation_rejects(self, field, value):
@@ -289,6 +293,23 @@ class TestSweep:
         bad = tmp_path / "bad.ini"
         bad.write_text("[thinning]\np_list =\n")
         assert run_cli("sweep", "--config", str(bad), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+
+    def test_colliding_curve_names_rejected_before_output(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("sweep", "--config", str(tiny_config), "--p", "0.3,0.3000001", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: thinning.p_list: ")
+
+    def test_grid_too_large_for_memory_is_an_error(self, tiny_config, tmp_path, capsys):
+        # 3e16 thresholds: np.arange fails at once on any 64-bit address space
+        big = tmp_path / "big.ini"
+        big.write_text(tiny_config.read_text().replace("theta_db_step = 2", "theta_db_step = 1e-15"))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", str(big), "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_unwritable_output_exit_code(self, tiny_config, tmp_path):
         blocker = tmp_path / "file"

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from attocell import (
     CoverageCurve,
+    DerivedConstants,
     NetworkGeometry,
     TABLE_DEFAULT_OPTICS,
     attocell_quadrature,
     conditional_coverage,
-    coverage_at,
     coverage_curve,
     coverage_spatial,
     db_to_linear,
     eta,
-    linear_to_db,
+    sm_series,
+    sv_series,
     threshold_at_level,
 )
 from attocell.specfun import erf
@@ -31,7 +32,7 @@ ETA_CENTRE_THETA_ONE = 1.5**-8 - 1.656e-13 / ((2e-4 * 1.5**2 / (2 * math.pi)) * 
 class TestThresholds:
     def test_db_round_trip(self):
         grid = np.array([-20.0, -6.55, 0.0, 10.0])
-        assert np.allclose(linear_to_db(db_to_linear(grid)), grid, rtol=1e-14)
+        assert np.allclose(10.0 * np.log10(db_to_linear(grid)), grid, rtol=1e-14)
         assert float(db_to_linear(0.0)) == 1.0
 
 
@@ -114,24 +115,24 @@ class TestConditionalCoverage:
 
 
 class TestCoverageAt:
+    """``coverage_spatial`` at one threshold.  Quadrature order 1 is the cell
+    centre with weight exactly 1.0, so there it is the conditional coverage
+    bit for bit; order 4 brings in off-centre nodes."""
+
     def test_limits_in_theta(self, optics, geometry):
-        assert coverage_at(optics, geometry, 0.5, (0.1, 0.1), 1e-9).value == pytest.approx(1.0)
-        assert coverage_at(optics, geometry, 0.5, (0.1, 0.1), 1e9).value == 0.0
+        assert coverage_spatial(optics, geometry, 0.5, 1e-9, quad_order=4) == pytest.approx(1.0)
+        assert coverage_spatial(optics, geometry, 0.5, 1e9, quad_order=4) == 0.0
 
     def test_composition(self, optics, geometry):
-        from attocell import DerivedConstants, sm_series, sv_series
-
         c = DerivedConstants.from_configs(optics, geometry)
         p = 0.4
-        got = coverage_at(optics, geometry, p, (0.2, -0.1), 0.3)
-        s_m = sm_series(geometry, c.beta, (0.2, -0.1)).value
-        s_v = sv_series(geometry, c.beta, (0.2, -0.1)).value
-        assert got.mu == pytest.approx(p * s_m, rel=1e-14)
-        assert got.sigma1 == pytest.approx(math.sqrt(p * (1 - p) * s_v), rel=1e-14)
-        assert got.eta == pytest.approx(eta(optics, geometry, (0.2, -0.1), 0.3), rel=1e-14)
-        assert got.value == pytest.approx(
-            conditional_coverage(got.eta, got.mu, got.sigma1), rel=1e-14
+        s_m = sm_series(geometry, c.beta, (0.0, 0.0)).value
+        s_v = sv_series(geometry, c.beta, (0.0, 0.0)).value
+        expected = conditional_coverage(
+            eta(optics, geometry, (0.0, 0.0), 0.3), p * s_m, math.sqrt(p * (1 - p) * s_v)
         )
+        assert 0.0 < expected < 1.0
+        assert coverage_spatial(optics, geometry, p, 0.3, quad_order=1) == expected
 
     def test_nonincreasing_in_p_on_verified_grid(self, optics, geometry):
         # Monte-Carlo-verified subrange: the Gaussian form is monotone for
@@ -139,27 +140,25 @@ class TestCoverageAt:
         # monotonicity even though the exact coverage is always monotone.
         theta = float(db_to_linear(-6.55))
         grid = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
-        vals = [coverage_at(optics, geometry, p, (0.1, 0.05), theta).value for p in grid]
+        vals = [coverage_spatial(optics, geometry, p, theta, quad_order=4) for p in grid]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_degenerate_p_zero(self, optics, geometry):
-        got = coverage_at(optics, geometry, 0.0, (0.1, 0.1), 0.5)
-        assert got.mu == 0.0 and got.sigma1 == 0.0
-        assert got.value == (1.0 if got.eta > 0 else 0.0)
+        got = coverage_spatial(optics, geometry, 0.0, 0.5, quad_order=1)
+        assert got == (1.0 if eta(optics, geometry, (0.0, 0.0), 0.5) > 0 else 0.0)
 
     def test_brute_matches_series(self, optics, geometry):
-        for pos in ((0.0, 0.0), (0.2, 0.1), (0.25, 0.25)):
-            for theta_db in (-10.0, -6.55, -3.0):
-                t = float(db_to_linear(theta_db))
-                a = coverage_at(optics, geometry, 0.5, pos, t, sums="series").value
-                b = coverage_at(optics, geometry, 0.5, pos, t, sums="brute").value
-                assert a == pytest.approx(b, abs=1e-5)
+        for theta_db in (-10.0, -6.55, -3.0):
+            t = float(db_to_linear(theta_db))
+            a = coverage_spatial(optics, geometry, 0.5, t, quad_order=4, sums="series")
+            b = coverage_spatial(optics, geometry, 0.5, t, quad_order=4, sums="brute")
+            assert a == pytest.approx(b, abs=1e-5)
 
     def test_invalid_arguments(self, optics, geometry):
         with pytest.raises(ValueError):
-            coverage_at(optics, geometry, 1.5, (0, 0), 0.5)
+            coverage_spatial(optics, geometry, 1.5, 0.5)
         with pytest.raises(ValueError):
-            coverage_at(optics, geometry, 0.5, (0, 0), 0.5, sums="magic")
+            coverage_spatial(optics, geometry, 0.5, 0.5, sums="magic")
 
 
 class TestQuadrature:

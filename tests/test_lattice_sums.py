@@ -17,12 +17,7 @@ from attocell import (
     sv_series,
 )
 from attocell.lattice_sums import _ring_sites, series_mode_terms
-from attocell.model import (
-    _site_columns,
-    interference_weights,
-    interferer_distance_sq,
-    lattice_sites,
-)
+from attocell.model import _site_columns, interference_weights, lattice_sites
 
 # ring-ordered fsum at the reference config, pinned by the
 # independent row-major summation below agreeing to 1e-13
@@ -109,8 +104,6 @@ class TestBruteForce:
             for e in (beta, 2 * beta, 3 * beta):
                 assert sm_brute(geometry, e, pos).value == ring_fsum(geometry, e, pos, trunc)
                 weights = interference_weights(geometry, e, pos)
-                d2 = interferer_distance_sq(geometry, pos)
-                assert np.array_equal(weights, (d2 + geometry.height**2) ** (-e))
                 assert np.array_equal(weights, site_weights(geometry, e, pos, trunc))
 
     def test_cached_columns_stay_unchanged(self, geometry):
@@ -121,7 +114,7 @@ class TestBruteForce:
         first = interference_weights(geometry, 4.0, (0.1, 0.05))
         second = interference_weights(geometry, 4.0, (0.1, 0.05))
         expected = second.copy()
-        for result in (first, second, interferer_distance_sq(geometry, (0.1, 0.05))):
+        for result in (first, second):
             assert result.flags.writeable
             assert not any(np.shares_memory(result, c) for c in _site_columns(trunc))
         assert not np.shares_memory(first, second)

@@ -12,7 +12,6 @@ from attocell import (
     DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
-    ReceiverPosition,
     TABLE_DEFAULT_OPTICS,
     channel_gain,
     eta,
@@ -21,7 +20,7 @@ from attocell import (
     sinr,
     sm_brute,
 )
-from attocell.model import interferer_distance_sq, tail_bound
+from attocell.model import tail_bound
 
 # K h^-beta for the reference optics at h = 1.5 (hand evaluation:
 # K = 2e-4 * 2.25 / (2 pi), h^-4 = 1/5.0625)
@@ -175,8 +174,10 @@ class TestSinr:
         # gamma(z) > theta if and only if C < eta(z, theta)
         c = DerivedConstants.from_configs(optics, self.geometry)
         pos = (0.12, -0.2)
-        d2 = interferer_distance_sq(self.geometry, pos)
-        weights = (d2 + self.geometry.height**2) ** (-c.beta)
+        sites = lattice_sites(self.geometry.trunc)
+        dx = sites[:, 0] * self.geometry.pitch + pos[0]
+        dy = sites[:, 1] * self.geometry.pitch + pos[1]
+        weights = (dx * dx + dy * dy + self.geometry.height**2) ** (-c.beta)
         for theta in (0.05, 0.2213, 1.0, 5.0):
             e = eta(optics, self.geometry, pos, theta)
             for _ in range(40):
@@ -188,12 +189,6 @@ class TestSinr:
     def test_wrong_shape_raises(self, optics):
         with pytest.raises(ValueError):
             sinr(optics, self.geometry, (0.0, 0.0), np.zeros(5))
-
-    def test_accepts_receiver_position(self, optics):
-        alphas = np.zeros(self.n_sites)
-        a = sinr(optics, self.geometry, ReceiverPosition(0.1, 0.2), alphas)
-        b = sinr(optics, self.geometry, (0.1, 0.2), alphas)
-        assert a == b
 
 
 class TestTailBound:

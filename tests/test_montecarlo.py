@@ -13,7 +13,6 @@ from attocell import (
     NetworkGeometry,
     ThinningModel,
     clt_diagnostics,
-    coverage_at,
     coverage_spatial,
     db_to_linear,
     empirical_coverage_curves,
@@ -261,7 +260,7 @@ class TestEmpiricalCoverage:
     def test_matches_analytic_at_centre(self, optics):
         geometry = NetworkGeometry(0.5, 1.5, 40)
         (mean,), (stderr,) = _centre_coverage(optics, geometry, 99, -6.55, 20_000)
-        ref = coverage_at(optics, geometry, 0.5, (0.0, 0.0), float(db_to_linear(-6.55))).value
+        ref = coverage_spatial(optics, geometry, 0.5, float(db_to_linear(-6.55)), quad_order=1)
         assert abs(mean - ref) <= 3 * stderr + 0.02
 
     def test_stderr_scaling(self, optics, small_geometry):
