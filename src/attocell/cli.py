@@ -17,10 +17,11 @@ Configuration comes from an INI-style file (``key = value`` under
 from a previously written ``manifest.json``, or from nothing at all: the
 defaults reproduce the shipped reference setup (0.5 m pitch, heights 1.5 to
 3.0 m, p in {0.3, 0.5, 0.8}, thresholds -20..10 dB in 0.25 dB steps).
-Flags override file values; each subcommand accepts only the flags whose
-values it reads.  CSV cells are printed with 17 significant digits and
-'\\n' line endings, so identical configurations and seeds produce
-byte-identical files.
+Flags override file values, and a flag's value is read exactly as the same
+key in a file; each subcommand accepts only the flags whose values it
+reads.  CSV cells are printed with 17 significant digits and '\\n' line
+endings, so identical configurations and seeds produce byte-identical
+files.
 
 Exit codes: 0 success, 1 configuration or usage error (a setting too large
 for memory included), 2 validation failure, 3 I/O error.
@@ -70,13 +71,18 @@ def _tokens(raw) -> list:
 
 def _number(raw) -> float:
     try:
+        if isinstance(raw, bool):  # a JSON true or false
+            raise TypeError
         return float(raw)
     except (TypeError, ValueError):
         raise ValueError(f"expected a number, got {raw!r}") from None
 
 
 def _integer(raw) -> int:
+    # a string is a Python integer literal: 0x10 and 1_6 read 16, 010 fails
     try:
+        if isinstance(raw, bool):
+            raise TypeError
         if isinstance(raw, str):
             return int(raw, 0)
         if int(raw) != raw:
@@ -140,7 +146,6 @@ class _Flag:
     subcommands that read the setting."""
 
     name: str
-    type: Callable
     help: str
     commands: tuple[str, ...] = ("sweep",)
 
@@ -176,17 +181,17 @@ class RunConfig:
         _numbers,
         _each(lambda h: math.isfinite(h) and h > 0, "heights must be > 0, got {!r}"),
         _printed_once,
-        flag=_Flag("--heights", str, "comma-separated LED heights (m)", _CURVES),
+        flag=_Flag("--heights", "comma-separated LED heights (m)", _CURVES),
     )
     trunc: int = _setting("geometry", 200, _integer, _at_least(1), flag=_Flag(
-        "--trunc", int, "lattice truncation (rings) for brute-force sums", ("sweep", "sums")))
+        "--trunc", "lattice truncation (rings) for brute-force sums", ("sweep", "sums")))
     p_list: tuple[float, ...] = _setting(
         "thinning",
         (0.3, 0.5, 0.8),
         _numbers,
         _each(lambda p: 0.0 <= p <= 1.0, "probabilities must be in [0, 1], got {!r}"),
         _printed_once,
-        flag=_Flag("--p", str, "comma-separated thinning probabilities", _CURVES),
+        flag=_Flag("--p", "comma-separated thinning probabilities", _CURVES),
     )
     theta_db_start: float = _setting("sweep", -20.0, _number, _finite)
     theta_db_stop: float = _setting("sweep", 10.0, _number, _finite)
@@ -197,21 +202,21 @@ class RunConfig:
         _names,
         _each(lambda m: m in _METHODS, f"unknown method {{!r}} (choose from {_METHODS})"),
         _printed_once,
-        flag=_Flag("--methods", str, "comma-separated subset of analytic,montecarlo,brute"),
+        flag=_Flag("--methods", "comma-separated subset of analytic,montecarlo,brute"),
     )
     seed: int = _setting("thinning", 20250809, _integer, _at_least(0), flag=_Flag(
-        "--seed", int, "RNG seed for Monte Carlo methods", _CURVES))
+        "--seed", "RNG seed for Monte Carlo methods", _CURVES))
     trials: int = _setting("thinning", 10000, _integer, _at_least(1), flag=_Flag(
-        "--trials", int, "Monte Carlo trials per spatial node", _CURVES))
+        "--trials", "Monte Carlo trials per spatial node", _CURVES))
     quad_order: int = _setting("sweep", 32, _integer, _at_least(1), flag=_Flag(
-        "--quad-order", int, "tensor quadrature order per axis (analytic)"))
+        "--quad-order", "tensor quadrature order per axis (analytic)"))
     mc_quad_order: int = _setting("sweep", 16, _integer, _at_least(1), flag=_Flag(
-        "--mc-quad-order", int, "tensor quadrature order per axis for Monte Carlo comparisons", _CURVES))
+        "--mc-quad-order", "tensor quadrature order per axis for Monte Carlo comparisons", _CURVES))
     mc_trunc: int = _setting("thinning", 40, _integer, _at_least(1), flag=_Flag(
-        "--mc-trunc", int, "lattice truncation for Monte Carlo sampling", _CURVES))
+        "--mc-trunc", "lattice truncation for Monte Carlo sampling", _CURVES))
     jobs: int = _setting("sweep", 1, _integer, _at_least(1), flag=_Flag(
-        "--jobs", int, "worker processes for Monte Carlo nodes", _CURVES))
-    out_dir: str = _setting("output", "attocell_out", str, flag=_Flag("--out", str, "output directory"))
+        "--jobs", "worker processes for Monte Carlo nodes (at most the CPU count)", _CURVES))
+    out_dir: str = _setting("output", "attocell_out", str, flag=_Flag("--out", "output directory"))
 
     def validate(self, series: bool = True) -> None:
         """Check every field; with ``series``, also that the dual-lattice
@@ -285,7 +290,8 @@ def _assign(cfg: RunConfig, values: dict) -> None:
 
 
 def _sections_from_ini(path: Path) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    # no interpolation: a "%" in a value is literal
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -342,18 +348,17 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
+    """Parse each flag given, a string stored under its field key, exactly
+    as the same key in a config file."""
     values = {}
     for f in _FIELDS:
-        # argparse stores "--mc-trunc" under "mc_trunc"
-        raw = getattr(args, f.flag.name[2:].replace("-", "_"), None) if f.flag else None
+        raw = getattr(args, f.key, None) if f.flag else None
         if raw is None:
             continue
         try:
             values[f] = f.parse(raw)
-        except ValueError:
-            # argparse has already typed the integer flags, so only the
-            # number lists can fail here
-            raise ConfigError(f"{f.flag.name}: expected comma-separated numbers, got {raw!r}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{f.flag.name}: {exc}") from None
     _assign(cfg, values)
 
 
@@ -385,40 +390,25 @@ def _write_curve_csv(path: Path, curve: CoverageCurve) -> None:
     _write_output(path, "\n".join(lines) + "\n")
 
 
-def _analytic_curves(
-    cfg: RunConfig, height: float, sums: str, quad_order: int
-) -> dict[float, CoverageCurve]:
-    geometry = cfg.geometry(height)
-    grid = cfg.theta_db_grid()
-    return {
-        p: coverage_curve(
-            cfg.optical, geometry, p, grid, quad_order=quad_order, sums=sums
-        )
-        for p in cfg.p_list
-    }
-
-
-def _montecarlo_curves(cfg: RunConfig, height: float) -> tuple[dict[float, CoverageCurve], float]:
-    """The Monte Carlo curve of every p, and the bound on the interference
-    mass that the sampling truncation omits."""
-    geometry = cfg.geometry(height)
-    grid = cfg.theta_db_grid()
+def _curves(
+    cfg: RunConfig, height: float, method: str, quad_order: int
+) -> tuple[dict[float, CoverageCurve], float | None]:
+    """The curve of every p at ``height`` by ``method``, and for Monte Carlo
+    the bound on the interference mass that the sampling truncation omits
+    (None for the other methods)."""
+    geometry, grid = cfg.geometry(height), cfg.theta_db_grid()
+    if method != "montecarlo":
+        sums = "brute" if method == "brute" else "series"
+        return {
+            p: coverage_curve(cfg.optical, geometry, p, grid, quad_order=quad_order, sums=sums)
+            for p in cfg.p_list
+        }, None
     means, stderrs, tail = empirical_coverage_curves(
-        cfg.optical,
-        geometry,
-        cfg.p_list,
-        theta_db=grid,
-        seed=cfg.seed,
-        trials_per_node=cfg.trials,
-        quad_order=cfg.mc_quad_order,
-        trunc=cfg.mc_trunc,
-        n_jobs=cfg.jobs,
+        cfg.optical, geometry, cfg.p_list, theta_db=grid, seed=cfg.seed, trials_per_node=cfg.trials,
+        quad_order=quad_order, trunc=cfg.mc_trunc, n_jobs=cfg.jobs,
     )
-    curves = {
-        p: CoverageCurve(grid, db_to_linear(grid), means[k], stderrs[k])
-        for k, p in enumerate(cfg.p_list)
-    }
-    return curves, tail
+    linear = db_to_linear(grid)
+    return {p: CoverageCurve(grid, linear, means[k], stderrs[k]) for k, p in enumerate(cfg.p_list)}, tail
 
 
 def _max_deviation(a: dict[float, CoverageCurve], b: dict[float, CoverageCurve]) -> dict[float, float]:
@@ -438,12 +428,10 @@ def run_sweep(cfg: RunConfig) -> int:
     for height in cfg.heights:
         by_method: dict[str, dict[float, CoverageCurve]] = {}
         for method in cfg.methods:
-            if method == "analytic":
-                by_method[method] = _analytic_curves(cfg, height, "series", cfg.quad_order)
-            elif method == "brute":
-                by_method[method] = _analytic_curves(cfg, height, "brute", cfg.quad_order)
-            else:
-                by_method[method], tails[f"h{height:g}"] = _montecarlo_curves(cfg, height)
+            order = cfg.mc_quad_order if method == "montecarlo" else cfg.quad_order
+            by_method[method], tail = _curves(cfg, height, method, order)
+            if tail is not None:
+                tails[f"h{height:g}"] = tail
             curves += [(_curve_filename(p, height, method), c) for p, c in by_method[method].items()]
         if "analytic" in by_method and "montecarlo" in by_method:
             for p, delta in _max_deviation(by_method["analytic"], by_method["montecarlo"]).items():
@@ -518,8 +506,8 @@ def run_validate(cfg: RunConfig, budget: float) -> int:
     worst = 0.0
     lines = [f"{'h':>6} {'p':>6} {'max |MC - analytic|':>22} {'mean stderr':>12}"]
     for height in cfg.heights:
-        empirical, tail = _montecarlo_curves(cfg, height)
-        analytic = _analytic_curves(cfg, height, "series", cfg.mc_quad_order)
+        empirical, tail = _curves(cfg, height, "montecarlo", cfg.mc_quad_order)
+        analytic, _ = _curves(cfg, height, "analytic", cfg.mc_quad_order)
         deltas = _max_deviation(empirical, analytic)
         for p in cfg.p_list:
             worst = max(worst, deltas[p])
@@ -561,7 +549,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="INI config or manifest.json from a previous run")
         for f in _FIELDS:
             if f.flag and command in f.flag.commands:
-                sp.add_argument(f.flag.name, type=f.flag.type, help=f.flag.help)
+                # a string, parsed by the field's own parser
+                sp.add_argument(f.flag.name, dest=f.key, help=f.flag.help)
 
     sp = commands["sums"]
     sp.add_argument("--pos", default="0,0", help="receiver position 'x,y' in metres")

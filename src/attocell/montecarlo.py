@@ -51,6 +51,7 @@ so it changes no result.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -255,9 +256,10 @@ def empirical_coverage_curves(
     the threshold grid ``theta_db`` (dB, or one threshold).
 
     Node i of the quadrature draws from ``substream(seed, i)``; nodes run in
-    up to ``n_jobs`` worker processes with results identical to the serial
-    order.  All p values share every uniform draw and all thresholds share
-    every realization, so comparisons across the grids are coupled.
+    up to ``n_jobs`` worker processes, never more than the nodes or the
+    CPUs, with results identical to the serial order.  All p values share
+    every uniform draw and all thresholds share every realization, so
+    comparisons across the grids are coupled.
     ``trunc`` replaces ``geometry.trunc`` for sampling (None keeps it).
     Returns (means, stderrs, tail) where means/stderrs have shape
     (len(p_list), len(theta)) and tail bounds the interference mass omitted
@@ -276,8 +278,9 @@ def empirical_coverage_curves(
         _node_counts, sampled, consts.beta, p_list, trials_per_node, int(seed)
     )
     columns = (range(zx.size), zx.tolist(), zy.tolist(), list(etas.T))
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(int(n_jobs), zx.size)) as pool:
+    workers = min(int(n_jobs), zx.size, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(node, *columns, chunksize=1))
     else:
         counts = list(map(node, *columns))

@@ -19,6 +19,7 @@ from attocell.cli import (
     _FIELDS,
     ConfigError,
     RunConfig,
+    _integer,
     _write_curve_csv,
     load_config,
     main,
@@ -202,6 +203,66 @@ class TestLoadConfig:
         path.write_text(json.dumps({"thinning": {"p_list": [0.5], "seed": 9}}))
         cfg = load_config(str(path))
         assert cfg.p_list == (0.5,) and cfg.seed == 9
+
+    @pytest.mark.parametrize(
+        "section,key,value,expected",
+        [
+            ("geometry", "pitch", True, "a number"),
+            ("thinning", "p_list", [True], "a number"),
+            ("geometry", "trunc", True, "an integer"),
+            ("thinning", "seed", False, "an integer"),
+        ],
+    )
+    def test_json_booleans_rejected(self, tmp_path, capsys, section, key, value, expected):
+        # true is not the number 1, nor false the seed 0
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert run_cli("sums", "--config", str(path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {section}.{key}: expected {expected}, got {bool(value)!r}\n"
+
+    @pytest.mark.parametrize("name", ["run_100%", "%(home)s", "a%%b"])
+    def test_percent_in_ini_value_is_literal(self, tiny_config, tmp_path, name):
+        ini = tmp_path / "percent.ini"
+        ini.write_text(tiny_config.read_text() + f"\n[output]\nout_dir = {tmp_path / name}\n")
+        assert load_config(str(ini)).out_dir == str(tmp_path / name)
+        assert run_cli("sweep", "--config", str(ini)) == EXIT_OK
+        assert (tmp_path / name / "manifest.json").is_file()
+
+
+# every integer setting, each of which has a flag
+INTEGER_FIELDS = [f for f in _FIELDS if f.parse is _integer]
+
+
+class TestIntegerSyntax:
+    """A flag's value is read exactly like the same key in a config file."""
+
+    def _parse(self, monkeypatch, tmp_path, field, raw, via):
+        seen = []
+        monkeypatch.setattr("attocell.cli.run_sweep", lambda c: seen.append(c) or EXIT_OK)
+        if via == "flag":
+            return main(["sweep", field.flag.name, raw]), seen
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{field.section}]\n{field.key} = {raw}\n")
+        return main(["sweep", "--config", str(ini)]), seen
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("raw", ["16", "0x10", "1_6", " 16 "])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS, ids=lambda f: f.key)
+    def test_python_literals_read(self, monkeypatch, tmp_path, field, raw, via):
+        code, seen = self._parse(monkeypatch, tmp_path, field, raw, via)
+        assert code == EXIT_OK
+        assert field.get(seen[0]) == 16
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("raw", ["010", "1.5", "abc"])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS, ids=lambda f: f.key)
+    def test_other_text_refused(self, monkeypatch, tmp_path, capsys, field, raw, via):
+        code, seen = self._parse(monkeypatch, tmp_path, field, raw, via)
+        assert code == EXIT_CONFIG and not seen
+        name = field.flag.name if via == "flag" else f"{field.section}.{field.key}"
+        assert capsys.readouterr().err == f"error: {name}: expected an integer, got {raw!r}\n"
 
 
 def run_cli(*argv):

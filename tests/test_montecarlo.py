@@ -374,14 +374,14 @@ class TestSpatial:
                     optics, small_geometry, (0.5,), theta_db=[0.0, bad], trials_per_node=1
                 )
 
-    def test_worker_pool_capped_at_node_count(self, optics, small_geometry, monkeypatch):
-        # the pool forks all of its workers at the first submit, so more
-        # workers than quadrature nodes would only start idle processes
-        pools = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of every pool made, by a fake that runs in process."""
+        made = []
 
         class SerialPool:
             def __init__(self, max_workers):
-                pools.append(max_workers)
+                made.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -393,11 +393,27 @@ class TestSpatial:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(attocell.montecarlo, "ProcessPoolExecutor", SerialPool)
+        return made
+
+    def test_worker_pool_capped_at_node_count(self, optics, small_geometry, monkeypatch, pools):
+        # the pool forks all of its workers at the first submit, so more
+        # workers than quadrature nodes would only start idle processes
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         kwargs = dict(theta_db=[-8.0, -6.0], seed=7, trials_per_node=50, quad_order=2)
         pooled = empirical_coverage_curves(optics, small_geometry, (0.5,), n_jobs=500, **kwargs)
         assert pools == [4]
         serial = empirical_coverage_curves(optics, small_geometry, (0.5,), **kwargs)
         assert pools == [4]
+        assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
+
+    # an unknown CPU count allows one worker: the nodes run in process
+    @pytest.mark.parametrize("cpus,made", [(3, [3]), (None, [])])
+    def test_worker_pool_capped_at_cpu_count(self, optics, small_geometry, monkeypatch, pools, cpus, made):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        kwargs = dict(theta_db=[-8.0, -6.0], seed=7, trials_per_node=50, quad_order=2)
+        pooled = empirical_coverage_curves(optics, small_geometry, (0.5,), n_jobs=1000, **kwargs)
+        assert pools == made
+        serial = empirical_coverage_curves(optics, small_geometry, (0.5,), **kwargs)
         assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
 
 
