@@ -12,6 +12,7 @@ from .coverage import (
     attocell_quadrature,
     conditional_coverage,
     coverage_curve,
+    coverage_curves,
     coverage_spatial,
     db_to_linear,
     eta,
@@ -43,6 +44,7 @@ __all__ = [
     "attocell_quadrature",
     "conditional_coverage",
     "coverage_curve",
+    "coverage_curves",
     "coverage_spatial",
     "db_to_linear",
     "eta",

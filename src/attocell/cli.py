@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .coverage import CoverageCurve, coverage_curve, db_to_linear
+from .coverage import CoverageCurve, coverage_curves, db_to_linear
 from .lattice_sums import series_mode_terms, sm_brute, sm_series, sv_brute, sv_series
 from .model import DerivedConstants, NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS
 from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
@@ -94,6 +94,12 @@ def _integer(raw) -> int:
 
 def _numbers(raw) -> tuple[float, ...]:
     return tuple(_number(tok) for tok in _tokens(raw))
+
+
+def _text(raw) -> str:
+    if not isinstance(raw, str):  # a JSON null, number or boolean
+        raise ValueError(f"expected a string, got {raw!r}")
+    return raw
 
 
 def _names(raw) -> tuple[str, ...]:
@@ -216,7 +222,7 @@ class RunConfig:
         "--mc-trunc", "lattice truncation for Monte Carlo sampling", _CURVES))
     jobs: int = _setting("sweep", 1, _integer, _at_least(1), flag=_Flag(
         "--jobs", "worker processes for Monte Carlo nodes (at most the CPU count)", _CURVES))
-    out_dir: str = _setting("output", "attocell_out", str, flag=_Flag("--out", "output directory"))
+    out_dir: str = _setting("output", "attocell_out", _text, flag=_Flag("--out", "output directory"))
 
     def validate(self, series: bool = True) -> None:
         """Check every field; with ``series``, also that the dual-lattice
@@ -399,10 +405,8 @@ def _curves(
     geometry, grid = cfg.geometry(height), cfg.theta_db_grid()
     if method != "montecarlo":
         sums = "brute" if method == "brute" else "series"
-        return {
-            p: coverage_curve(cfg.optical, geometry, p, grid, quad_order=quad_order, sums=sums)
-            for p in cfg.p_list
-        }, None
+        curves = coverage_curves(cfg.optical, geometry, cfg.p_list, grid, quad_order=quad_order, sums=sums)
+        return dict(zip(cfg.p_list, curves)), None
     means, stderrs, tail = empirical_coverage_curves(
         cfg.optical, geometry, cfg.p_list, theta_db=grid, seed=cfg.seed, trials_per_node=cfg.trials,
         quad_order=quad_order, trunc=cfg.mc_trunc, n_jobs=cfg.jobs,

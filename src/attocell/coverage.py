@@ -47,6 +47,7 @@ __all__ = [
     "conditional_coverage",
     "coverage_spatial",
     "coverage_curve",
+    "coverage_curves",
     "attocell_quadrature",
     "threshold_at_level",
 ]
@@ -165,6 +166,22 @@ def attocell_quadrature(
     return hx[i], hx[j], np.where(i == j, 1.0, 2.0) * hw[i] * hw[j]
 
 
+def _node_sums(geometry: NetworkGeometry, beta: float, zx, zy, sums) -> np.ndarray:
+    """S(beta) and S(2 beta) at every node, shape (2, len(zx)): computed by
+    the named method, or ``sums`` itself when it is such an array."""
+    if isinstance(sums, str):
+        return moment_sums(geometry, (beta, 2.0 * beta), zx, zy, sums)
+    values = np.asarray(sums, dtype=float)
+    if values.shape != (2, zx.size):
+        raise ValueError(
+            f"sums must be 'series', 'brute' or an array of shape (2, {zx.size}), "
+            f"one row per exponent, got shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values) & (values > 0.0)):
+        raise ValueError(f"every entry of the (2, {zx.size}) sums array must be finite and > 0")
+    return values
+
+
 def _spatial_values(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
@@ -180,7 +197,7 @@ def _spatial_values(
     consts = DerivedConstants.from_configs(optical, geometry)
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
     eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
-    s_m, s_v = moment_sums(geometry, (consts.beta, 2.0 * consts.beta), zx, zy, sums)
+    s_m, s_v = _node_sums(geometry, consts.beta, zx, zy, sums)
     mass = conditional_coverage(eta_grid, p * s_m[None, :], np.sqrt(p * (1.0 - p) * s_v)[None, :])
     return np.clip(mass @ wq, 0.0, 1.0)
 
@@ -227,14 +244,18 @@ def coverage_curve(
     p: float,
     theta_db,
     quad_order: int = 32,
-    sums: str = "series",
+    sums: str | np.ndarray = "series",
     use_symmetry: bool = True,
 ) -> CoverageCurve:
     """Spatially averaged coverage over a threshold grid (dB).
 
-    The moment sums are evaluated once per quadrature node and reused across
-    the grid, so the cost is one lattice-sum pass plus one erf evaluation
-    per (node, theta) pair.
+    ``sums`` names how the moment sums are computed, "series" or "brute" as
+    for ``coverage_spatial``, or gives them: the (2, nodes) array that
+    ``moment_sums(geometry, (beta, 2 beta), zx, zy, ...)`` returns at the
+    nodes of ``attocell_quadrature(geometry, quad_order, use_symmetry)``.
+    Either way each node's sums serve the whole threshold grid, so the cost
+    is at most one lattice-sum pass plus one erf evaluation per
+    (node, theta) pair.
     """
     theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
     theta_lin = db_to_linear(theta_db)
@@ -246,6 +267,28 @@ def coverage_curve(
         theta_linear=theta_lin,
         values=values,
     )
+
+
+def coverage_curves(
+    optical: OpticalConfig,
+    geometry: NetworkGeometry,
+    p_list,
+    theta_db,
+    quad_order: int = 32,
+    sums: str = "series",
+    use_symmetry: bool = True,
+) -> list[CoverageCurve]:
+    """``coverage_curve`` for every p in ``p_list``, in order.  The moment
+    sums, "series" or "brute", do not depend on p, so they are computed once
+    and passed to every curve."""
+    p_list = [_check_p(p) for p in p_list]
+    beta = DerivedConstants.from_configs(optical, geometry).beta
+    zx, zy, _ = attocell_quadrature(geometry, quad_order, use_symmetry)
+    node_sums = _node_sums(geometry, beta, zx, zy, sums)
+    return [
+        coverage_curve(optical, geometry, p, theta_db, quad_order, node_sums, use_symmetry)
+        for p in p_list
+    ]
 
 
 def threshold_at_level(curve: CoverageCurve, level: float) -> float | None:

@@ -222,6 +222,16 @@ class TestLoadConfig:
         assert captured.out == ""
         assert captured.err == f"error: {section}.{key}: expected {expected}, got {bool(value)!r}\n"
 
+    @pytest.mark.parametrize("value", [None, 5, True])
+    def test_json_out_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys, value):
+        # a null must not sweep into a directory named "None"
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"output": {"out_dir": value}}))
+        assert run_cli("sweep", "--config", str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: output.out_dir: expected a string, got {value!r}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("name", ["run_100%", "%(home)s", "a%%b"])
     def test_percent_in_ini_value_is_literal(self, tiny_config, tmp_path, name):
         ini = tmp_path / "percent.ini"
@@ -371,6 +381,19 @@ class TestSweep:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+    def test_brute_sweep_computes_node_sums_once_per_height(self, tiny_config, tmp_path, monkeypatch):
+        import attocell.coverage
+
+        methods = []
+        original = attocell.coverage.moment_sums
+        monkeypatch.setattr(
+            attocell.coverage, "moment_sums", lambda *a, **k: methods.append(a[4]) or original(*a, **k)
+        )
+        argv = ["--methods", "brute", "--heights", "1.5,2", "--p", "0.3,0.5,0.8", "--out", str(tmp_path / "o")]
+        assert run_cli("sweep", "--config", str(tiny_config), *argv) == EXIT_OK
+        assert methods == ["brute", "brute"]
+        assert len(json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]) == 6
 
     def test_unwritable_output_exit_code(self, tiny_config, tmp_path):
         blocker = tmp_path / "file"

@@ -15,9 +15,11 @@ from attocell import (
     attocell_quadrature,
     conditional_coverage,
     coverage_curve,
+    coverage_curves,
     coverage_spatial,
     db_to_linear,
     eta,
+    moment_sums,
     sm_series,
     sv_series,
     threshold_at_level,
@@ -257,3 +259,68 @@ class TestCoverageCurve:
         brute = coverage_curve(optics, geometry, 0.5, grid, quad_order=12, sums="brute")
         assert np.all(np.diff(series.values) <= 1e-14)
         assert np.max(np.abs(series.values - brute.values)) <= 1e-5
+
+
+class TestCoverageCurves:
+    P_LIST = (0.0, 0.3, 1.0)  # 0 and 1 are the degenerate lanes
+
+    @pytest.mark.parametrize("sums", ["series", "brute"])
+    def test_matches_one_curve_per_p_bit_for_bit(self, optics, sums):
+        geometry = NetworkGeometry(0.5, 1.5, 20)
+        grid = np.arange(-12.0, 0.0, 1.5)
+        curves = coverage_curves(optics, geometry, self.P_LIST, grid, quad_order=6, sums=sums)
+        assert len(curves) == len(self.P_LIST)
+        for p, curve in zip(self.P_LIST, curves):
+            alone = coverage_curve(optics, geometry, p, grid, quad_order=6, sums=sums)
+            assert curve.values.tobytes() == alone.values.tobytes()
+            assert curve.theta_db.tobytes() == alone.theta_db.tobytes()
+            assert curve.theta_linear.tobytes() == alone.theta_linear.tobytes()
+
+    def test_moment_sums_computed_once(self, optics, geometry, monkeypatch):
+        import attocell.coverage
+
+        calls = []
+        original = attocell.coverage.moment_sums
+        monkeypatch.setattr(
+            attocell.coverage, "moment_sums", lambda *a, **k: calls.append(a) or original(*a, **k)
+        )
+        coverage_curves(optics, geometry, self.P_LIST, [-8.0, -5.0], quad_order=4)
+        assert len(calls) == 1
+
+    def test_bad_p_rejected_before_the_sums(self, optics, geometry, monkeypatch):
+        import attocell.coverage
+
+        monkeypatch.setattr(attocell.coverage, "moment_sums", None)  # calling it is a TypeError
+        with pytest.raises(ValueError, match="thinning probability"):
+            coverage_curves(optics, geometry, (0.3, 1.5), [-8.0], quad_order=4)
+
+
+class TestGivenSums:
+    """``coverage_curve``'s ``sums`` as the (2, nodes) array of the node sums."""
+
+    @staticmethod
+    def _node_sums(optics, geometry, order):
+        beta = DerivedConstants.from_configs(optics, geometry).beta
+        zx, zy, _ = attocell_quadrature(geometry, order)
+        return moment_sums(geometry, (beta, 2.0 * beta), zx, zy)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s: s[:1],  # one exponent only
+            lambda s: s[:, :-1],  # a node short
+            lambda s: s.T,
+            lambda s: s.ravel(),
+        ],
+    )
+    def test_wrong_shape_rejected(self, optics, geometry, change):
+        sums = self._node_sums(optics, geometry, 4)  # 3 nodes after the fold
+        with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+            coverage_curve(optics, geometry, 0.5, [-8.0], quad_order=4, sums=change(sums))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
+    def test_non_finite_or_non_positive_entry_rejected(self, optics, geometry, bad):
+        sums = self._node_sums(optics, geometry, 4).copy()
+        sums[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\(2, 3\) sums array must be finite and > 0"):
+            coverage_curve(optics, geometry, 0.5, [-8.0], quad_order=4, sums=sums)
