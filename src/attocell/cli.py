@@ -117,6 +117,11 @@ def _positive(v) -> str | None:
     return None if math.isfinite(v) and v > 0 else f"must be > 0, got {v!r}"
 
 
+def _non_empty(v) -> str | None:
+    # an empty directory name would quietly mean the working directory
+    return None if v else "must not be empty (use . for the working directory)"
+
+
 def _at_least(n: int):
     return lambda v: None if v >= n else f"must be >= {n}, got {v!r}"
 
@@ -222,7 +227,8 @@ class RunConfig:
         "--mc-trunc", "lattice truncation for Monte Carlo sampling", _CURVES))
     jobs: int = _setting("sweep", 1, _integer, _at_least(1), flag=_Flag(
         "--jobs", "worker processes for Monte Carlo nodes (at most the CPU count)", _CURVES))
-    out_dir: str = _setting("output", "attocell_out", _text, flag=_Flag("--out", "output directory"))
+    out_dir: str = _setting("output", "attocell_out", _text, _non_empty, flag=_Flag(
+        "--out", "output directory"))
 
     def validate(self, series: bool = True) -> None:
         """Check every field; with ``series``, also that the dual-lattice

@@ -18,7 +18,8 @@ It is the one place that picks the evaluator:
   already sorted into ring order, so the terms come straight out in ring
   order and nothing is gathered.  A call makes one site pass per node for
   all its exponents in two site-length buffers: D^2 + h^2 is written once
-  into the first, then each exponent's weights into the second.
+  into the first, then each exponent's weights into the second (from a
+  reciprocal, squarings and divisions at an integer exponent).
   ``sm_brute`` also attaches an analytic bound on the omitted mass.
 
 * ``sums="series"`` -- the closed form obtained by Poisson summation over
@@ -216,7 +217,11 @@ def moment_sums(
     ample for h/a >= 3 and (0, 0) keeps only the integral and self terms.
     ``sums="brute"`` sums the lattice directly out to ``geometry.trunc``
     rings: per node, D^2 + h^2 is computed once and raised to each exponent,
-    with two site-length buffers live for the whole call.
+    with two site-length buffers live for the whole call.  An integer
+    exponent is raised by a reciprocal, squarings and divisions, so its row
+    is the same on every numpy SIMD target; any other exponent by
+    ``np.power`` (``model._site_weights``).  Each row depends on its own
+    exponent alone, not on which others are asked for or in what order.
     """
     exponents = [_check_exponent(e) for e in exponents]
     zx = np.atleast_1d(np.asarray(zx, dtype=float))

@@ -214,8 +214,29 @@ def _site_bases(
 def _site_weights(base: np.ndarray, exponent: float, out=None) -> np.ndarray:
     """(D^2 + h^2)^(-exponent) from the bases of ``_site_bases``, written into
     ``out`` (fresh when None; ``base`` itself is allowed).  With
-    ``_site_bases``, the one home of the weight formula."""
-    return np.power(base, -float(exponent), out=out)
+    ``_site_bases``, the one home of the weight formula.
+
+    An integer exponent e >= 1 is computed from IEEE basic operations only,
+    so its weights are the same bits on every numpy SIMD target: w = 1/base,
+    then for each binary digit of e after the leading one, w = w^2, and
+    w = w / base where the digit is 1.  Each step is correctly rounded, and
+    the rounding errors add up to less than 3 e * 2^-53 relative wherever
+    the result is a normal float.  The weights of one exponent depend on
+    (base, e) alone.  Any other exponent goes through ``np.power``, whose
+    last bits depend on the SIMD target.
+    """
+    e = float(exponent)
+    if not (e.is_integer() and e >= 1.0):
+        return np.power(base, -e, out=out)
+    digits = bin(int(e))[3:]
+    if "1" in digits and out is not None and np.may_share_memory(out, base):
+        base = base.copy()  # the divisions below need base after out is written
+    w = np.reciprocal(base, out=out)
+    for digit in digits:
+        np.multiply(w, w, out=w)
+        if digit == "1":
+            np.divide(w, base, out=w)
+    return w
 
 
 def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.ndarray:

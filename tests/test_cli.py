@@ -232,6 +232,27 @@ class TestLoadConfig:
         assert capsys.readouterr().err == f"error: output.out_dir: expected a string, got {value!r}\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("route", ["flag", "ini", "json"])
+    def test_empty_out_dir_refused(self, tiny_config, tmp_path, monkeypatch, capsys, route):
+        # an empty name must not write the curves into the working directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = ["sweep", "--config", str(tiny_config)]
+        if route == "flag":
+            argv += ["--out", ""]
+        elif route == "ini":
+            tiny_config.write_text(TINY_INI + "\n[output]\nout_dir =\n")
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"output": {"out_dir": ""}}))
+            argv[2] = str(path)
+        assert run_cli(*argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: output.out_dir: must not be empty (use . for the working directory)\n"
+        )
+        assert list(work.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["run_100%", "%(home)s", "a%%b"])
     def test_percent_in_ini_value_is_literal(self, tiny_config, tmp_path, name):
         ini = tmp_path / "percent.ini"

@@ -27,11 +27,23 @@ SV_CORNER_REFERENCE = 0.005158622238419826  # as above at z=(0.25, 0.25), expone
 
 def site_weights(geometry, exponent, pos, trunc):
     """Per-site weights written out from the integer site table, in
-    ``lattice_sites`` order."""
+    ``lattice_sites`` order.  An integer exponent e takes the library's
+    recipe: 1 / base, then per binary digit of e after the leading one a
+    squaring, followed by a division by the base where the digit is 1.
+    Any other exponent takes ``**``."""
     sites = lattice_sites(trunc)
     dx = sites[:, 0] * geometry.pitch + pos[0]
     dy = sites[:, 1] * geometry.pitch + pos[1]
-    return (dx * dx + dy * dy + geometry.height**2) ** (-float(exponent))
+    base = dx * dx + dy * dy + geometry.height**2
+    e = float(exponent)
+    if not e.is_integer():
+        return base ** (-e)
+    weights = 1.0 / base
+    for digit in f"{int(e):b}"[1:]:
+        weights = weights * weights
+        if digit == "1":
+            weights = weights / base
+    return weights
 
 
 def row_major_sum(geometry, exponent, pos, trunc):
@@ -101,7 +113,7 @@ class TestBruteForce:
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
         beta = DerivedConstants.from_configs(optics, geometry).beta
         for pos in ((0.0, 0.0), (0.13, -0.07), (0.25, 0.25)):
-            for e in (beta, 2 * beta, 3 * beta):
+            for e in (beta, 2 * beta, 3 * beta, beta + 0.5):
                 assert sm_brute(geometry, e, pos).value == ring_fsum(geometry, e, pos, trunc)
                 weights = interference_weights(geometry, e, pos)
                 assert np.array_equal(weights, site_weights(geometry, e, pos, trunc))
@@ -267,7 +279,7 @@ class TestMomentSums:
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
         beta = DerivedConstants.from_configs(optics, geometry).beta
         zx, zy, _ = attocell_quadrature(geometry, 3)
-        exponents = (beta, 2 * beta, 3 * beta, 4 * beta)
+        exponents = (beta, 2 * beta, 3 * beta, 4 * beta, beta + 0.5)
         brute = moment_sums(geometry, exponents, zx, zy, sums="brute")
         for k, e in enumerate(exponents):
             for i, pos in enumerate(zip(zx, zy)):

@@ -1,13 +1,18 @@
 """Geometry, configuration and pointwise channel/SINR quantities."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import attocell
 from attocell import (
     DerivedConstants,
     NetworkGeometry,
@@ -20,7 +25,12 @@ from attocell import (
     sinr,
     sm_brute,
 )
-from attocell.model import tail_bound
+from attocell.model import _site_bases, _site_columns, _site_weights, interference_weights, tail_bound
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as NUMPY_CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as NUMPY_CPU_FEATURES
 
 # K h^-beta for the reference optics at h = 1.5 (hand evaluation:
 # K = 2e-4 * 2.25 / (2 pi), h^-4 = 1/5.0625)
@@ -212,3 +222,80 @@ class TestTailBound:
         # a truncation override is the geometry's own field, with its check
         with pytest.raises(ValueError, match=r"geometry\.trunc"):
             sm_brute(geometry, 4.0, (0.1, 0.05), trunc=trunc)
+
+
+POSITIONS = ((0.0, 0.0), (0.13, -0.07), (0.25, 0.25))
+
+
+def assert_near_power(weights, base, exponent):
+    """Within exponent * 2^-51 relative of ``np.power`` wherever that gives
+    a normal float."""
+    with np.errstate(over="ignore"):
+        power = np.power(base, -float(exponent))
+    normal = np.isfinite(power) & (power >= np.finfo(float).tiny)
+    assert normal.any()
+    assert np.abs(weights[normal] / power[normal] - 1.0).max() <= exponent * 2.0**-51
+
+
+class TestSiteWeights:
+    # bases over 140 binary orders: at e = 16 both ends leave the normal range
+    SPREAD = np.geomspace(2.0**-70, 2.0**70, 20001)
+
+    @pytest.mark.parametrize("exponent", [4.0, 8.0, 12.0, 16.0])
+    def test_integer_exponent_near_power(self, geometry, exponent):
+        with np.errstate(over="ignore"):
+            weights = _site_weights(self.SPREAD, exponent)
+        assert_near_power(weights, self.SPREAD, exponent)
+        for pos in POSITIONS:
+            base = _site_bases(geometry, *pos, *_site_columns(geometry.trunc))
+            assert_near_power(interference_weights(geometry, exponent, pos), base, exponent)
+
+    def test_non_integer_exponent_is_power(self, geometry):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(_site_weights(self.SPREAD, 4.5), np.power(self.SPREAD, -4.5))
+        for pos in POSITIONS:
+            base = _site_bases(geometry, *pos, *_site_columns(geometry.trunc))
+            assert np.array_equal(interference_weights(geometry, 4.5, pos), np.power(base, -4.5))
+
+    @pytest.mark.parametrize(
+        "exponent",
+        [12.0, 15.0, 3 * (lambertian_order(math.pi / 3) + 3), 3 * (lambertian_order(1.0) + 3)],
+        ids=["12", "15", "3beta_60deg", "3beta_1rad"],
+    )
+    def test_out_may_be_base(self, geometry, exponent):
+        # the divisions must not read a base that the weights overwrote
+        for pos in POSITIONS:
+            base = _site_bases(geometry, *pos, *_site_columns(geometry.trunc))
+            fresh = _site_weights(base, exponent)
+            assert_near_power(fresh, base, exponent)
+            assert _site_weights(base, exponent, out=base) is base
+            assert np.array_equal(base, fresh)
+            assert np.array_equal(interference_weights(geometry, exponent, pos), fresh)
+
+    @pytest.mark.skipif(
+        not NUMPY_CPU_FEATURES.get("AVX512_SKX"), reason="numpy reports no AVX512_SKX to disable"
+    )
+    def test_integer_exponent_same_on_every_simd_target(self):
+        # numpy's AVX2 loops in place of its AVX-512 ones, in a child only
+        code = (
+            "import hashlib\n"
+            "from attocell import NetworkGeometry\n"
+            "from attocell.model import interference_weights\n"
+            "g = NetworkGeometry(pitch=0.5, height=1.5, trunc=200)\n"
+            "digest = hashlib.sha256()\n"
+            "for e in (4.0, 8.0, 12.0):\n"
+            f"    for pos in {POSITIONS!r}:\n"
+            "        digest.update(interference_weights(g, e, pos).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = Path(attocell.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+
+        def child_digest(**env):
+            env = {**os.environ, "PYTHONPATH": path, **env}
+            child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+            return child.stdout
+
+        default = child_digest()
+        assert default == child_digest(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL")
+        assert len(default.strip()) == 64
