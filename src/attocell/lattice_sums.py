@@ -11,16 +11,14 @@ exponent and every node, as an array of shape (len(exponents), len(zx)).
 It is the one place that picks the evaluator:
 
 * ``sums="brute"`` -- direct summation over the truncated window
-  |u|, |v| <= ``geometry.trunc``, accumulated in ascending |u|+|v| rings
-  whose subtotals are combined by ``math.fsum`` (correctly rounded); the
-  terms span ~13 decades between the nearest and farthest sites.  The site
-  coordinates are cached per truncation as read-only float64 columns
-  already sorted into ring order, so the terms come straight out in ring
-  order and nothing is gathered.  A call makes one site pass per node for
-  all its exponents in two site-length buffers: D^2 + h^2 is written once
-  into the first, then each exponent's weights into the second (from a
-  reciprocal, squarings and divisions at an integer exponent).
-  ``sm_brute`` also attaches an analytic bound on the omitted mass.
+  |u|, |v| <= ``geometry.trunc``.  Per node, D^2 + h^2 is written once as a
+  (2 trunc + 1)^2 grid, the outer sum of the two squared axes
+  (``model._site_bases``; the tagged LED's entry is +inf, so its weight is
+  0), then each exponent's weights into a second grid (from a reciprocal,
+  squarings and divisions at an integer exponent).  Each grid row is added
+  by numpy's pairwise sum and the row subtotals by ``math.fsum`` (correctly
+  rounded); the terms span ~13 decades between the nearest and farthest
+  sites.  ``sm_brute`` also attaches an analytic bound on the omitted mass.
 
 * ``sums="series"`` -- the closed form obtained by Poisson summation over
   the dual lattice, vectorized over the nodes:
@@ -59,11 +57,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .model import NetworkGeometry, _site_bases, _site_columns, _site_weights, _with_trunc
+from .model import NetworkGeometry, _check_exponent, _site_bases, _site_weights, _with_trunc
 from .model import position_xy, tail_bound
 from .specfun import bessel_k, gamma
 
@@ -87,42 +84,17 @@ class SumResult:
     tail_bound: float | None = None
 
 
-@lru_cache(maxsize=8)
-def _ring_sites(trunc: int):
-    """Site coordinates u, v as contiguous read-only float64 columns, sorted
-    stably from ``lattice_sites`` order by ascending ring |u|+|v|, and the
-    start of each ring for reduceat."""
-    u, v = _site_columns(trunc)
-    rings = np.abs(u) + np.abs(v)
-    order = np.argsort(rings, kind="stable")
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(rings[order])) + 1])
-    u = u[order]
-    v = v[order]
-    for column in (u, v, starts):
-        column.setflags(write=False)
-    return u, v, starts
-
-
 def _brute_values(geometry: NetworkGeometry, exponents: list[float], zx, zy) -> np.ndarray:
-    """The ``sums="brute"`` branch of ``moment_sums``: one site pass per node
-    in two site-length buffers, as the module docstring describes."""
-    u, v, starts = _ring_sites(geometry.trunc)
-    base = np.empty_like(u)
-    work = np.empty_like(u)
+    """The ``sums="brute"`` branch of ``moment_sums``: one site grid per node
+    in two grid buffers, as the module docstring describes."""
+    base = weights = None  # made by the first node, reused by the rest
     values = np.empty((len(exponents), zx.size))
     for i, (x, y) in enumerate(zip(zx.tolist(), zy.tolist())):
-        _site_bases(geometry, x, y, u, v, out=base, tmp=work)
+        base = _site_bases(geometry, x, y, out=base)
         for k, e in enumerate(exponents):
-            rings = np.add.reduceat(_site_weights(base, e, out=work), starts)
-            values[k, i] = math.fsum(rings.tolist())
+            weights = _site_weights(base, e, out=weights)
+            values[k, i] = math.fsum(weights.sum(axis=1).tolist())
     return values
-
-
-def _check_exponent(exponent: float) -> float:
-    e = float(exponent)
-    if not (math.isfinite(e) and e > 1.0):
-        raise ValueError(f"sum exponent must be finite and > 1, got {exponent!r}")
-    return e
 
 
 def sm_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None) -> SumResult:
@@ -216,8 +188,9 @@ def moment_sums(
     window jl = (j, l), i.e. [0, j] x [0, l] minus the origin; (1, 1) is
     ample for h/a >= 3 and (0, 0) keeps only the integral and self terms.
     ``sums="brute"`` sums the lattice directly out to ``geometry.trunc``
-    rings: per node, D^2 + h^2 is computed once and raised to each exponent,
-    with two site-length buffers live for the whole call.  An integer
+    rings: per node, the grid of D^2 + h^2 is computed once and raised to
+    each exponent, with two grid buffers live for the whole call; the rows
+    are summed by numpy and the row sums by ``math.fsum``.  An integer
     exponent is raised by a reciprocal, squarings and divisions, so its row
     is the same on every numpy SIMD target; any other exponent by
     ``np.power`` (``model._site_weights``).  Each row depends on its own

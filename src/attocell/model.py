@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -138,7 +137,15 @@ class DerivedConstants:
     @classmethod
     def from_configs(cls, optical: OpticalConfig, geometry: NetworkGeometry) -> "DerivedConstants":
         m = lambertian_order(optical.half_angle)
-        k = (m + 1.0) * optical.pd_area * geometry.height ** (m + 1.0) / (2.0 * math.pi)
+        try:
+            k = (m + 1.0) * optical.pd_area * geometry.height ** (m + 1.0) / (2.0 * math.pi)
+        except OverflowError:
+            k = math.inf
+        if not 0.0 < k * k < math.inf:
+            raise ValueError(
+                f"geometry.height = {geometry.height!r} puts the gain constant K or K^2 "
+                f"outside the float range (K = {k!r} at Lambertian order m = {m:.6g})"
+            )
         return cls(m=m, beta=m + 3.0, gain_const=k, noise_var=optical.noise_psd * optical.bandwidth)
 
 
@@ -165,22 +172,6 @@ def channel_gain(consts: DerivedConstants, geometry: NetworkGeometry, d_horiz: f
     return consts.gain_const * (d * d + h * h) ** (-0.5 * consts.beta)
 
 
-@lru_cache(maxsize=8)
-def _site_columns(trunc: int):
-    """Site coordinates u and v in ``lattice_sites`` order, as contiguous
-    read-only float64 columns: the form every weight computation reads."""
-    if trunc < 1:
-        raise ValueError(f"trunc must be >= 1, got {trunc!r}")
-    rng = np.arange(-trunc, trunc + 1, dtype=np.float64)
-    u, v = np.meshgrid(rng, rng, indexing="ij")
-    keep = ~((u == 0) & (v == 0))
-    u = u[keep]
-    v = v[keep]
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
-
-
 def lattice_sites(trunc: int) -> np.ndarray:
     """Interferer lattice indices (u, v), |u|,|v| <= trunc, origin excluded.
 
@@ -188,26 +179,34 @@ def lattice_sites(trunc: int) -> np.ndarray:
     order (u slow, v fast).  This ordering is the contract for every
     thinning realization: ``alphas[i]`` refers to ``lattice_sites(trunc)[i]``.
     """
-    sites = np.column_stack(_site_columns(int(trunc))).astype(np.int64)
+    trunc = int(trunc)
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc!r}")
+    axis = np.arange(-trunc, trunc + 1, dtype=np.int64)
+    u, v = np.meshgrid(axis, axis, indexing="ij")
+    sites = np.delete(np.column_stack([u.ravel(), v.ravel()]), u.size // 2, axis=0)
     sites.setflags(write=False)
     return sites
 
 
-def _site_bases(
-    geometry: NetworkGeometry, zx: float, zy: float, u: np.ndarray, v: np.ndarray, out=None, tmp=None
-) -> np.ndarray:
-    """D^2 + h^2 = (u a + z_x)^2 + (v a + z_y)^2 + h^2 per site of the
-    coordinate columns u, v, in their order: the base of every weight,
-    written into ``out`` with ``tmp`` as its one temporary (each fresh when
-    None)."""
-    base = np.multiply(u, geometry.pitch, out=out)
-    base += zx
-    base *= base
-    dy = np.multiply(v, geometry.pitch, out=tmp)
-    dy += zy
+def _site_bases(geometry: NetworkGeometry, zx: float, zy: float, out=None) -> np.ndarray:
+    """D^2 + h^2 = (u a + z_x)^2 + (v a + z_y)^2 + h^2, the base of every
+    weight, over |u|, |v| <= trunc as a (2 trunc + 1)^2 grid with u down and
+    v across, written into ``out`` (fresh when None).  Each axis is squared
+    once and the grid is their outer sum plus h^2.  The tagged LED's centre
+    entry is +inf, so its weight is 0; raveled without the centre, the grid
+    is in ``lattice_sites`` order."""
+    t = int(geometry.trunc)
+    axis = np.arange(-t, t + 1, dtype=np.float64) * geometry.pitch
+    dx = axis + zx
+    dx *= dx
+    dy = axis + zy
     dy *= dy
-    base += dy
+    base = np.empty((axis.size, axis.size)) if out is None else out
+    np.copyto(base, dy)
+    base += dx[:, None]
     base += geometry.height**2
+    base[t, t] = np.inf
     return base
 
 
@@ -239,13 +238,24 @@ def _site_weights(base: np.ndarray, exponent: float, out=None) -> np.ndarray:
     return w
 
 
+def _check_exponent(exponent: float) -> float:
+    """The exponent e of a lattice sum as a float; the sum converges only
+    for a finite e > 1."""
+    e = float(exponent)
+    if not (math.isfinite(e) and e > 1.0):
+        raise ValueError(f"sum exponent must be finite and > 1, got {exponent!r}")
+    return e
+
+
 def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.ndarray:
     """Per-site weights (D_i^2 + h^2)^(-exponent) over the lattice truncated
     at ``geometry.trunc``, in ``lattice_sites`` order; with exponent beta
     they are the interferers' squared gains over K^2."""
+    e = _check_exponent(exponent)
     zx, zy = position_xy(pos)
-    base = _site_bases(geometry, zx, zy, *_site_columns(geometry.trunc))
-    return _site_weights(base, exponent, out=base)
+    base = _site_bases(geometry, zx, zy).ravel()
+    weights = _site_weights(base, e, out=base)
+    return np.delete(weights, weights.size // 2)
 
 
 def sinr(
@@ -290,9 +300,7 @@ def tail_bound(geometry: NetworkGeometry, exponent: float) -> float:
     r_max = a (trunc - 1) (one pitch of slack absorbs both the receiver
     offset and the cell-vs-site discretization).
     """
-    e = float(exponent)
-    if e <= 1.0:
-        raise ValueError(f"tail bound requires exponent > 1, got {e!r}")
+    e = _check_exponent(exponent)
     a = geometry.pitch
     r_max = a * max(geometry.trunc - 1, 0.5)
     return 2.0 * math.pi * r_max ** (2.0 - 2.0 * e) / ((2.0 * e - 2.0) * a * a)

@@ -561,6 +561,28 @@ class TestFlags:
             assert np.all((values >= 0.0) & (values <= 1.0))
 
     @pytest.mark.parametrize(
+        "method,height,message",
+        [
+            # K^2 underflows to 0 (the eta grid would divide by it)
+            ("brute", "1e-300", "error: geometry.height = 1e-300 "),
+            ("montecarlo", "1e-300", "error: geometry.height = 1e-300 "),
+            # K^2 overflows
+            ("brute", "1e150", "error: geometry.height = 1e+150 "),
+            ("montecarlo", "1e150", "error: geometry.height = 1e+150 "),
+            # K^2 fits, the series' integral term h^(2 - 2e) at e = 2 beta does not
+            ("analytic", "1e-30", "error: OverflowError: "),
+        ],
+        ids=["brute-1e-300", "montecarlo-1e-300", "brute-1e150", "montecarlo-1e150", "analytic-1e-30"],
+    )
+    def test_extreme_height_is_an_error(self, tiny_config, tmp_path, capsys, method, height, message):
+        out = tmp_path / "o"
+        argv = ["--config", str(tiny_config), "--methods", method, "--heights", height, "--out", str(out)]
+        assert run_cli("sweep", *argv) == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command,ini,extra",
         [
             # beta = 84.8: the default window gives S_m = -4.85e-32

@@ -16,10 +16,10 @@ from attocell import (
     sv_brute,
     sv_series,
 )
-from attocell.lattice_sums import _ring_sites, series_mode_terms
-from attocell.model import _site_columns, interference_weights, lattice_sites
+from attocell.lattice_sums import series_mode_terms
+from attocell.model import interference_weights, lattice_sites
 
-# ring-ordered fsum at the reference config, pinned by the
+# row-wise fsum at the reference config, pinned by the
 # independent row-major summation below agreeing to 1e-13
 SM_REFERENCE = 0.32872461712993456  # a=0.5, h=1.5, beta=4, z=(0,0), trunc=200
 SV_CORNER_REFERENCE = 0.005158622238419826  # as above at z=(0.25, 0.25), exponent 8
@@ -48,20 +48,18 @@ def site_weights(geometry, exponent, pos, trunc):
 
 def row_major_sum(geometry, exponent, pos, trunc):
     """Second, independent implementation: plain row-major numpy pairwise
-    summation (different accumulation order than the library's ring fsum)."""
+    summation (different accumulation order than the library's row fsum)."""
     return float(np.sum(site_weights(geometry, exponent, pos, trunc)))
 
 
-def ring_fsum(geometry, exponent, pos, trunc):
-    """The ring-ordered brute sum with its ring order taken per call: the
-    weights gathered into stable ascending |u|+|v| order, each ring added by
-    ``np.add.reduceat`` and the ring subtotals by ``math.fsum``."""
-    sites = lattice_sites(trunc)
-    rings = np.abs(sites[:, 0]) + np.abs(sites[:, 1])
-    order = np.argsort(rings, kind="stable")
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(rings[order])) + 1])
-    terms = site_weights(geometry, exponent, pos, trunc)[order]
-    return math.fsum(np.add.reduceat(terms, starts))
+def row_fsum(geometry, exponent, pos, trunc):
+    """The brute sum with its grid rebuilt per call from the site table: the
+    weights with the origin put back as 0, reshaped to (2 trunc + 1)^2 with u
+    down, each row added by numpy and the row subtotals by ``math.fsum``."""
+    weights = site_weights(geometry, exponent, pos, trunc)
+    n = 2 * trunc + 1
+    grid = np.insert(weights, n * n // 2, 0.0).reshape(n, n)
+    return math.fsum(grid.sum(axis=1).tolist())
 
 
 class TestBruteForce:
@@ -108,27 +106,25 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("trunc", [1, 2, 15, 200])
     def test_bit_identical_to_per_call_ring_gather(self, optics, trunc):
-        # the cached ring-ordered columns compute every term by the same
-        # IEEE expression and add the rings in the same order
+        # the site grid computes every term by the same IEEE expression as
+        # the site table, and the sum adds the rows as the per-call row
+        # oracle does
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
         beta = DerivedConstants.from_configs(optics, geometry).beta
         for pos in ((0.0, 0.0), (0.13, -0.07), (0.25, 0.25)):
             for e in (beta, 2 * beta, 3 * beta, beta + 0.5):
-                assert sm_brute(geometry, e, pos).value == ring_fsum(geometry, e, pos, trunc)
+                assert sm_brute(geometry, e, pos).value == row_fsum(geometry, e, pos, trunc)
                 weights = interference_weights(geometry, e, pos)
                 assert np.array_equal(weights, site_weights(geometry, e, pos, trunc))
 
     def test_cached_columns_stay_unchanged(self, geometry):
-        trunc = geometry.trunc
-        for column in (*_ring_sites(trunc), *_site_columns(trunc)):
-            assert not column.flags.writeable
+        assert not lattice_sites(geometry.trunc).flags.writeable
         before = sm_brute(geometry, 4.0, (0.1, 0.05)).value
         first = interference_weights(geometry, 4.0, (0.1, 0.05))
         second = interference_weights(geometry, 4.0, (0.1, 0.05))
         expected = second.copy()
         for result in (first, second):
             assert result.flags.writeable
-            assert not any(np.shares_memory(result, c) for c in _site_columns(trunc))
         assert not np.shares_memory(first, second)
         first[:] = -1.0
         second[:] = np.nan
@@ -274,7 +270,7 @@ class TestMomentSums:
 
     @pytest.mark.parametrize("trunc", [15, 200])
     def test_brute_rows_match_ring_oracle(self, optics, trunc):
-        # the one-pass kernel against the independent per-call ring fsum,
+        # the one-pass kernel against the independent per-call row fsum,
         # for more exponents than the coverage path asks for
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
         beta = DerivedConstants.from_configs(optics, geometry).beta
@@ -283,16 +279,31 @@ class TestMomentSums:
         brute = moment_sums(geometry, exponents, zx, zy, sums="brute")
         for k, e in enumerate(exponents):
             for i, pos in enumerate(zip(zx, zy)):
-                assert brute[k, i] == ring_fsum(geometry, e, pos, trunc)
+                assert brute[k, i] == row_fsum(geometry, e, pos, trunc)
             alone = moment_sums(geometry, (e,), zx, zy, sums="brute")
             assert np.array_equal(alone[0], brute[k])
         reverse = moment_sums(geometry, exponents[::-1], zx, zy, sums="brute")
         assert np.array_equal(reverse, brute[::-1])
 
+    @pytest.mark.parametrize("trunc", [15, 200])
+    @pytest.mark.parametrize("height", [0.5, 1.5, 3.0])
+    def test_brute_near_correctly_rounded(self, optics, trunc, height):
+        # row sums then fsum over rows: within a few ulps of the correctly
+        # rounded sum of the same weights, at h/a 1, 3 and 6
+        geometry = NetworkGeometry(pitch=0.5, height=height, trunc=trunc)
+        beta = DerivedConstants.from_configs(optics, geometry).beta
+        zx, zy, _ = attocell_quadrature(geometry, 3)
+        exponents = (beta, 2 * beta, 3 * beta, 4 * beta, beta + 0.5)
+        brute = moment_sums(geometry, exponents, zx, zy, sums="brute")
+        for k, e in enumerate(exponents):
+            for i, pos in enumerate(zip(zx, zy)):
+                exact = math.fsum(interference_weights(geometry, e, pos).tolist())
+                assert abs(brute[k, i] - exact) <= 4 * 2.0**-52 * exact
+
     def test_brute_keeps_two_site_arrays(self, geometry):
-        # one buffer for D^2 + h^2 and one for the weights, whatever the
-        # number of nodes and exponents
-        sites = _ring_sites(geometry.trunc)[0].size
+        # one grid buffer for D^2 + h^2 and one for the weights, whatever
+        # the number of nodes and exponents
+        sites = lattice_sites(geometry.trunc).shape[0]
         zx, zy = np.linspace(-0.25, 0.25, 10), np.linspace(0.25, -0.2, 10)
         tracemalloc.start()
         try:

@@ -25,7 +25,7 @@ from attocell import (
     sinr,
     sm_brute,
 )
-from attocell.model import _site_bases, _site_columns, _site_weights, interference_weights, tail_bound
+from attocell.model import _site_bases, _site_weights, interference_weights, tail_bound
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as NUMPY_CPU_FEATURES
@@ -72,6 +72,12 @@ class TestConfigs:
             NetworkGeometry(pitch=0.5, height=-1.0)
         with pytest.raises(ValueError):
             NetworkGeometry(pitch=0.5, height=1.5, trunc=0)
+
+    @pytest.mark.parametrize("height", [1e-300, 1e150])
+    def test_gain_constant_out_of_range(self, optics, height):
+        # K^2 underflows to 0 or overflows: no eta grid can be formed
+        with pytest.raises(ValueError, match=r"geometry\.height"):
+            DerivedConstants.from_configs(optics, NetworkGeometry(pitch=0.5, height=height))
 
     def test_derived_constants_reference_values(self, optics, geometry):
         c = DerivedConstants.from_configs(optics, geometry)
@@ -214,8 +220,9 @@ class TestTailBound:
         assert bounds[0] > bounds[1] > bounds[2]
 
     def test_requires_summable_exponent(self, geometry):
-        with pytest.raises(ValueError):
-            tail_bound(geometry, 1.0)
+        for exponent in (1.0, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sum exponent must be finite and > 1"):
+                tail_bound(geometry, exponent)
 
     @pytest.mark.parametrize("trunc", [0, -5, 2.7])
     def test_brute_truncation_checked_as_geometry(self, geometry, trunc):
@@ -225,6 +232,14 @@ class TestTailBound:
 
 
 POSITIONS = ((0.0, 0.0), (0.13, -0.07), (0.25, 0.25))
+
+
+def site_bases(geometry, pos):
+    """D^2 + h^2 in ``lattice_sites`` order: the grid raveled, centre dropped."""
+    grid = _site_bases(geometry, *pos)
+    assert grid.shape == (2 * geometry.trunc + 1,) * 2
+    assert grid[geometry.trunc, geometry.trunc] == np.inf
+    return np.delete(grid.ravel(), grid.size // 2)
 
 
 def assert_near_power(weights, base, exponent):
@@ -247,14 +262,14 @@ class TestSiteWeights:
             weights = _site_weights(self.SPREAD, exponent)
         assert_near_power(weights, self.SPREAD, exponent)
         for pos in POSITIONS:
-            base = _site_bases(geometry, *pos, *_site_columns(geometry.trunc))
+            base = site_bases(geometry, pos)
             assert_near_power(interference_weights(geometry, exponent, pos), base, exponent)
 
     def test_non_integer_exponent_is_power(self, geometry):
         with np.errstate(over="ignore"):
             assert np.array_equal(_site_weights(self.SPREAD, 4.5), np.power(self.SPREAD, -4.5))
         for pos in POSITIONS:
-            base = _site_bases(geometry, *pos, *_site_columns(geometry.trunc))
+            base = site_bases(geometry, pos)
             assert np.array_equal(interference_weights(geometry, 4.5, pos), np.power(base, -4.5))
 
     @pytest.mark.parametrize(
@@ -265,7 +280,7 @@ class TestSiteWeights:
     def test_out_may_be_base(self, geometry, exponent):
         # the divisions must not read a base that the weights overwrote
         for pos in POSITIONS:
-            base = _site_bases(geometry, *pos, *_site_columns(geometry.trunc))
+            base = site_bases(geometry, pos)
             fresh = _site_weights(base, exponent)
             assert_near_power(fresh, base, exponent)
             assert _site_weights(base, exponent, out=base) is base
@@ -276,16 +291,19 @@ class TestSiteWeights:
         not NUMPY_CPU_FEATURES.get("AVX512_SKX"), reason="numpy reports no AVX512_SKX to disable"
     )
     def test_integer_exponent_same_on_every_simd_target(self):
-        # numpy's AVX2 loops in place of its AVX-512 ones, in a child only
+        # numpy's AVX2 loops in place of its AVX-512 ones, in a child only:
+        # the weights and the brute sums over the order-8 quadrature nodes
         code = (
             "import hashlib\n"
-            "from attocell import NetworkGeometry\n"
+            "from attocell import NetworkGeometry, attocell_quadrature, moment_sums\n"
             "from attocell.model import interference_weights\n"
             "g = NetworkGeometry(pitch=0.5, height=1.5, trunc=200)\n"
             "digest = hashlib.sha256()\n"
             "for e in (4.0, 8.0, 12.0):\n"
             f"    for pos in {POSITIONS!r}:\n"
             "        digest.update(interference_weights(g, e, pos).tobytes())\n"
+            "zx, zy, _ = attocell_quadrature(g, 8)\n"
+            "digest.update(moment_sums(g, (4.0, 8.0, 12.0), zx, zy, 'brute').tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         src = Path(attocell.__file__).resolve().parents[1]

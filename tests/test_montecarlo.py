@@ -114,6 +114,14 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"geometry\.trunc"):
             interference_samples(model, small_geometry, BETA, (0.1, 0.1), 10)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), 0.5, 1.0])
+    def test_exponent_checked(self, small_geometry, beta):
+        # the weights' lattice sum converges only for a finite beta > 1, and a
+        # NaN beta would give negative samples
+        model = ThinningModel(p=0.5, seed=1)
+        with pytest.raises(ValueError, match="sum exponent must be finite and > 1"):
+            interference_samples(model, small_geometry, beta, (0.0, 0.0), 4)
+
     def test_fixed_point_error_within_bound(self, small_geometry):
         # C against the correctly rounded sum of the same sites' float weights;
         # the fixed-point rounding is bounded by n * 2^-53 * S_m
