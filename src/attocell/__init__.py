@@ -20,11 +20,10 @@ from .coverage import (
 )
 from .lattice_sums import SumResult, moment_sums, sm_brute, sm_series, sv_brute, sv_series
 from .model import (
-    DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
     TABLE_DEFAULT_OPTICS,
-    channel_gain,
+    gain_constant,
     lambertian_order,
     lattice_sites,
     sinr,
@@ -55,11 +54,10 @@ __all__ = [
     "sm_series",
     "sv_brute",
     "sv_series",
-    "DerivedConstants",
     "NetworkGeometry",
     "OpticalConfig",
     "TABLE_DEFAULT_OPTICS",
-    "channel_gain",
+    "gain_constant",
     "lambertian_order",
     "lattice_sites",
     "sinr",

@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .coverage import CoverageCurve, coverage_curves, db_to_linear
 from .lattice_sums import series_mode_terms, sm_brute, sm_series, sv_brute, sv_series
-from .model import DerivedConstants, NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS
+from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS
 from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
 from .specfun import gamma
 
@@ -242,7 +242,7 @@ class RunConfig:
         if self.theta_db_stop < self.theta_db_start:
             raise ConfigError("sweep.theta_db_stop: must be >= theta_db_start")
         if series:
-            beta = DerivedConstants.from_configs(self.optical, self.geometry(self.heights[0])).beta
+            beta = self.optical.beta
             try:
                 gamma(beta), gamma(2.0 * beta)
             except ValueError as exc:
@@ -474,7 +474,7 @@ def run_sums(cfg: RunConfig, pos: tuple[float, float], jl: tuple[int, int], heig
     cfg.validate()
     h = cfg.heights[0] if height is None else height
     geometry = cfg.geometry(h)
-    consts = DerivedConstants.from_configs(cfg.optical, geometry)
+    beta = cfg.optical.beta
     half = geometry.pitch / 2
     if abs(pos[0]) > half or abs(pos[1]) > half:
         print(
@@ -484,18 +484,18 @@ def run_sums(cfg: RunConfig, pos: tuple[float, float], jl: tuple[int, int], heig
         )
     lines = [
         f"pitch a = {geometry.pitch:g} m, height h = {geometry.height:g} m "
-        f"(h/a = {geometry.height / geometry.pitch:g}), beta = {consts.beta:g}",
+        f"(h/a = {geometry.height / geometry.pitch:g}), beta = {beta:g}",
         f"position z = ({pos[0]:g}, {pos[1]:g}) m, modes j,l = {jl[0]},{jl[1]}, "
         f"brute trunc = {geometry.trunc}",
         "",
         f"{'sum':<4} {'brute force':>24} {'series':>24} {'rel err':>10} {'tail bound':>12}",
     ]
     for label, brute_fn, series_fn in (("S_m", sm_brute, sm_series), ("S_v", sv_brute, sv_series)):
-        b = brute_fn(geometry, consts.beta, pos)
-        s = series_fn(geometry, consts.beta, pos, jl=jl)
+        b = brute_fn(geometry, beta, pos)
+        s = series_fn(geometry, beta, pos, jl=jl)
         rel = abs(s.value - b.value) / b.value
         lines.append(f"{label:<4} {_fmt(b.value):>24} {_fmt(s.value):>24} {rel:>10.2e} {b.tail_bound:>12.2e}")
-    for label, exponent in (("g_m", consts.beta), ("g_v", 2 * consts.beta)):
+    for label, exponent in (("g_m", beta), ("g_v", 2 * beta)):
         lines += ["", f"{label} breakdown (weight 1/2 on axis modes; uniform value shown for reference):"]
         for row in series_mode_terms(geometry, exponent, pos, jl=jl):
             extra = (
@@ -529,8 +529,7 @@ def run_validate(cfg: RunConfig, budget: float) -> int:
         if not 0.0 < p < 1.0:
             continue
         model = ThinningModel(p=p, seed=cfg.seed, trunc=cfg.mc_trunc)
-        consts = DerivedConstants.from_configs(cfg.optical, geometry)
-        diag = clt_diagnostics(model, geometry, consts.beta, (0.0, 0.0), cfg.trials)
+        diag = clt_diagnostics(model, geometry, cfg.optical.beta, (0.0, 0.0), cfg.trials)
         lines.append(f"  p={p:g}: mean={diag.sample_mean:.6e} var={diag.sample_var:.6e} "
                      f"ks={diag.ks_stat:.4f} trials={diag.trials}")
     print("\n".join(lines))

@@ -34,9 +34,9 @@ import numpy as np
 from . import specfun
 from .lattice_sums import moment_sums
 from .model import (
-    DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
+    gain_constant,
     position_xy,
 )
 
@@ -66,22 +66,21 @@ def _eta_grid(
     zx,
     zy,
     theta_linear,
-    consts: DerivedConstants | None = None,
 ) -> np.ndarray:
     """eta at every (threshold, node) pair, shape (len(theta_linear),
-    len(zx)): the signal over theta, less the noise floor."""
+    len(zx)): the signal over theta, less the noise floor.  The noise floor
+    is computed first, so a height whose K^2 leaves the float range is
+    refused before the signal is formed."""
     theta = np.atleast_1d(np.asarray(theta_linear, dtype=float))
     bad = theta[~(np.isfinite(theta) & (theta > 0.0))]
     if bad.size:
         raise ValueError(f"theta must be finite and > 0, got {float(bad[0])!r}")
-    if consts is None:
-        consts = DerivedConstants.from_configs(optical, geometry)
+    noise = optical.noise_psd * optical.bandwidth / (
+        gain_constant(optical, geometry) ** 2 * optical.power**2 * optical.responsivity**2
+    )
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
     zy = np.atleast_1d(np.asarray(zy, dtype=float))
-    signal = (zx * zx + zy * zy + geometry.height**2) ** (-consts.beta)
-    noise = consts.noise_var / (
-        consts.gain_const**2 * optical.power**2 * optical.responsivity**2
-    )
+    signal = (zx * zx + zy * zy + geometry.height**2) ** (-optical.beta)
     return signal[None, :] / theta[:, None] - noise
 
 
@@ -168,9 +167,17 @@ def attocell_quadrature(
 
 def _node_sums(geometry: NetworkGeometry, beta: float, zx, zy, sums) -> np.ndarray:
     """S(beta) and S(2 beta) at every node, shape (2, len(zx)): computed by
-    the named method, or ``sums`` itself when it is such an array."""
+    the named method, or ``sums`` itself when it is such an array.  A named
+    method's sum that underflows to 0 (brute force with h far above the
+    pitch) raises a ``ValueError`` naming ``geometry.height``."""
     if isinstance(sums, str):
-        return moment_sums(geometry, (beta, 2.0 * beta), zx, zy, sums)
+        values = moment_sums(geometry, (beta, 2.0 * beta), zx, zy, sums)
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise ValueError(
+                f"geometry.height = {geometry.height!r} puts the {sums} sums S(beta) and S(2 beta) "
+                f"outside the float range (h/a = {geometry.height / geometry.pitch:.6g})"
+            )
+        return values
     values = np.asarray(sums, dtype=float)
     if values.shape != (2, zx.size):
         raise ValueError(
@@ -194,10 +201,9 @@ def _spatial_values(
     """The one path behind ``coverage_spatial`` and ``coverage_curve``: per
     threshold, the Gaussian mass at every quadrature node, weighted and summed."""
     p = _check_p(p)
-    consts = DerivedConstants.from_configs(optical, geometry)
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry)
-    eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
-    s_m, s_v = _node_sums(geometry, consts.beta, zx, zy, sums)
+    eta_grid = _eta_grid(optical, geometry, zx, zy, theta_linear)
+    s_m, s_v = _node_sums(geometry, optical.beta, zx, zy, sums)
     mass = conditional_coverage(eta_grid, p * s_m[None, :], np.sqrt(p * (1.0 - p) * s_v)[None, :])
     return np.clip(mass @ wq, 0.0, 1.0)
 
@@ -282,9 +288,8 @@ def coverage_curves(
     sums, "series" or "brute", do not depend on p, so they are computed once
     and passed to every curve."""
     p_list = [_check_p(p) for p in p_list]
-    beta = DerivedConstants.from_configs(optical, geometry).beta
     zx, zy, _ = attocell_quadrature(geometry, quad_order, use_symmetry)
-    node_sums = _node_sums(geometry, beta, zx, zy, sums)
+    node_sums = _node_sums(geometry, optical.beta, zx, zy, sums)
     return [
         coverage_curve(optical, geometry, p, theta_db, quad_order, node_sums, use_symmetry)
         for p in p_list

@@ -187,6 +187,8 @@ def moment_sums(
     ``sums="series"`` evaluates the dual-lattice closed form over the mode
     window jl = (j, l), i.e. [0, j] x [0, l] minus the origin; (1, 1) is
     ample for h/a >= 3 and (0, 0) keeps only the integral and self terms.
+    A term that overflows a float (h far below or above the pitch) raises
+    a ``ValueError`` naming ``geometry.height``.
     ``sums="brute"`` sums the lattice directly out to ``geometry.trunc``
     rings: per node, the grid of D^2 + h^2 is computed once and raised to
     each exponent, with two grid buffers live for the whole call; the rows
@@ -205,7 +207,13 @@ def moment_sums(
         )
     if sums == "series":
         jl = _check_jl(jl)
-        values = np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
+        try:
+            values = np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
+        except OverflowError:
+            raise ValueError(
+                f"geometry.height = {geometry.height!r} puts a term of the series S(e) outside "
+                f"the float range (h/a = {geometry.height / geometry.pitch:.6g})"
+            ) from None
         _check_series(geometry, exponents, zx, zy, jl, values)
         return values
     if sums == "brute":

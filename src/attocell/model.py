@@ -13,10 +13,12 @@ objects are immutable after construction and every function here is pure.
 The line-of-sight electrical quantities implemented below:
 
 * Lambertian order       ``m = -ln 2 / ln cos(theta_h)``
-* squared-gain exponent  ``beta = m + 3``
-* gain constant          ``K = (m+1) A_pd h^(m+1) / (2 pi)``
-  (kept verbatim, including the odd h^(m+1) dimensions; K^2 cancels from
-  every coverage expression)
+* squared-gain exponent  ``beta = m + 3``, set by the beam alone
+  (``OpticalConfig.beta``)
+* gain constant          ``K = (m+1) A_pd h^(m+1) / (2 pi)``, which also
+  depends on the mounting height (``gain_constant``; kept verbatim,
+  including the odd h^(m+1) dimensions; K^2 enters coverage only through
+  the noise term)
 * channel gain           ``G(d) = K (d^2 + h^2)^(-beta/2)``
 * receiver noise         ``sigma^2 = N_o W``
 * electrical SINR        ``P_o^2 G_0^2 R_pd^2 /
@@ -33,10 +35,9 @@ import numpy as np
 __all__ = [
     "OpticalConfig",
     "NetworkGeometry",
-    "DerivedConstants",
     "TABLE_DEFAULT_OPTICS",
     "lambertian_order",
-    "channel_gain",
+    "gain_constant",
     "sinr",
     "lattice_sites",
     "interference_weights",
@@ -87,6 +88,11 @@ class OpticalConfig:
                 f"optical.half_angle must be in (0, pi/2) rad, got {self.half_angle!r}"
             )
 
+    @property
+    def beta(self) -> float:
+        """beta = m + 3, the exponent of the squared channel gain."""
+        return lambertian_order(self.half_angle) + 3.0
+
 
 @dataclass(frozen=True)
 class NetworkGeometry:
@@ -119,34 +125,20 @@ def position_xy(pos) -> tuple[float, float]:
     return float(x), float(y)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Quantities derived from an (optics, geometry) pair.
-
-    m:          Lambertian order
-    beta:       m + 3, the exponent of the squared channel gain
-    gain_const: K = (m+1) A_pd h^(m+1) / (2 pi)
-    noise_var:  sigma^2 = N_o W, A^2
-    """
-
-    m: float
-    beta: float
-    gain_const: float
-    noise_var: float
-
-    @classmethod
-    def from_configs(cls, optical: OpticalConfig, geometry: NetworkGeometry) -> "DerivedConstants":
-        m = lambertian_order(optical.half_angle)
-        try:
-            k = (m + 1.0) * optical.pd_area * geometry.height ** (m + 1.0) / (2.0 * math.pi)
-        except OverflowError:
-            k = math.inf
-        if not 0.0 < k * k < math.inf:
-            raise ValueError(
-                f"geometry.height = {geometry.height!r} puts the gain constant K or K^2 "
-                f"outside the float range (K = {k!r} at Lambertian order m = {m:.6g})"
-            )
-        return cls(m=m, beta=m + 3.0, gain_const=k, noise_var=optical.noise_psd * optical.bandwidth)
+def gain_constant(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
+    """Gain constant K = (m+1) A_pd h^(m+1) / (2 pi); a ``ValueError``
+    naming ``geometry.height`` when K or K^2 is 0 or not finite."""
+    m = lambertian_order(optical.half_angle)
+    try:
+        k = (m + 1.0) * optical.pd_area * geometry.height ** (m + 1.0) / (2.0 * math.pi)
+    except OverflowError:
+        k = math.inf
+    if not 0.0 < k * k < math.inf:
+        raise ValueError(
+            f"geometry.height = {geometry.height!r} puts the gain constant K or K^2 "
+            f"outside the float range (K = {k!r} at Lambertian order m = {m:.6g})"
+        )
+    return k
 
 
 # Table of optics used by the shipped default configuration (see cli):
@@ -160,16 +152,6 @@ TABLE_DEFAULT_OPTICS = OpticalConfig(
     noise_psd=4.14e-21,
     bandwidth=40e6,
 )
-
-
-def channel_gain(consts: DerivedConstants, geometry: NetworkGeometry, d_horiz: float) -> float:
-    """Line-of-sight channel gain K (d^2 + h^2)^(-beta/2) at horizontal
-    distance ``d_horiz`` (m) from the LED axis; strictly decreasing in d."""
-    d = float(d_horiz)
-    if d < 0:
-        raise ValueError(f"horizontal distance must be >= 0, got {d!r}")
-    h = geometry.height
-    return consts.gain_const * (d * d + h * h) ** (-0.5 * consts.beta)
 
 
 def lattice_sites(trunc: int) -> np.ndarray:
@@ -212,8 +194,8 @@ def _site_bases(geometry: NetworkGeometry, zx: float, zy: float, out=None) -> np
 
 def _site_weights(base: np.ndarray, exponent: float, out=None) -> np.ndarray:
     """(D^2 + h^2)^(-exponent) from the bases of ``_site_bases``, written into
-    ``out`` (fresh when None; ``base`` itself is allowed).  With
-    ``_site_bases``, the one home of the weight formula.
+    ``out`` (fresh when None), which must not share memory with ``base``.
+    With ``_site_bases``, the one home of the weight formula.
 
     An integer exponent e >= 1 is computed from IEEE basic operations only,
     so its weights are the same bits on every numpy SIMD target: w = 1/base,
@@ -228,8 +210,6 @@ def _site_weights(base: np.ndarray, exponent: float, out=None) -> np.ndarray:
     if not (e.is_integer() and e >= 1.0):
         return np.power(base, -e, out=out)
     digits = bin(int(e))[3:]
-    if "1" in digits and out is not None and np.may_share_memory(out, base):
-        base = base.copy()  # the divisions below need base after out is written
     w = np.reciprocal(base, out=out)
     for digit in digits:
         np.multiply(w, w, out=w)
@@ -254,8 +234,7 @@ def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.
     e = _check_exponent(exponent)
     zx, zy = position_xy(pos)
     base = _site_bases(geometry, zx, zy).ravel()
-    weights = _site_weights(base, e, out=base)
-    return np.delete(weights, weights.size // 2)
+    return np.delete(_site_weights(base, e), base.size // 2)
 
 
 def sinr(
@@ -263,7 +242,6 @@ def sinr(
     geometry: NetworkGeometry,
     pos,
     alphas: np.ndarray,
-    consts: DerivedConstants | None = None,
 ) -> float:
     """Electrical SINR at the PD for one thinning realization.
 
@@ -271,8 +249,6 @@ def sinr(
     in that exact order.  The tagged LED at the origin always transmits; the
     realization only controls the interferers.
     """
-    if consts is None:
-        consts = DerivedConstants.from_configs(optical, geometry)
     alphas = np.asarray(alphas)
     n_sites = (2 * geometry.trunc + 1) ** 2 - 1
     if alphas.shape != (n_sites,):
@@ -281,13 +257,13 @@ def sinr(
         )
     zx, zy = position_xy(pos)
     h = geometry.height
-    beta = consts.beta
+    beta = optical.beta
     pr2 = (optical.power * optical.responsivity) ** 2
-    k2 = consts.gain_const**2
+    k2 = gain_constant(optical, geometry) ** 2
     signal = pr2 * k2 * (zx * zx + zy * zy + h * h) ** (-beta)
     weights = interference_weights(geometry, beta, (zx, zy))
     interference = pr2 * k2 * float(np.dot(alphas.astype(float), weights))
-    return signal / (interference + consts.noise_var)
+    return signal / (interference + optical.noise_psd * optical.bandwidth)
 
 
 def tail_bound(geometry: NetworkGeometry, exponent: float) -> float:

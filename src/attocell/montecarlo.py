@@ -62,7 +62,6 @@ from . import specfun
 from .coverage import _check_p, _eta_grid, attocell_quadrature, db_to_linear
 from .lattice_sums import sm_brute, sv_brute
 from .model import (
-    DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
     _with_trunc,
@@ -271,11 +270,10 @@ def empirical_coverage_curves(
     if trials_per_node < 1:
         raise ValueError(f"trials_per_node must be >= 1, got {trials_per_node!r}")
     sampled = _with_trunc(geometry, trunc)
-    consts = DerivedConstants.from_configs(optical, geometry)
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry=False)
-    etas = _eta_grid(optical, geometry, zx, zy, theta_linear, consts)
+    etas = _eta_grid(optical, geometry, zx, zy, theta_linear)
     node = partial(
-        _node_counts, sampled, consts.beta, p_list, trials_per_node, int(seed)
+        _node_counts, sampled, optical.beta, p_list, trials_per_node, int(seed)
     )
     columns = (range(zx.size), zx.tolist(), zy.tolist(), list(etas.T))
     workers = min(int(n_jobs), zx.size, os.cpu_count() or 1)
@@ -288,7 +286,7 @@ def empirical_coverage_curves(
     # quadrature weights sum to 1 only up to roundoff, so clip the average
     means = np.clip(np.einsum("i,ipt->pt", wq, phat), 0.0, 1.0)
     var = np.einsum("i,ipt->pt", wq**2, phat * (1.0 - phat)) / float(trials_per_node)
-    return means, np.sqrt(var), tail_bound(sampled, consts.beta)
+    return means, np.sqrt(var), tail_bound(sampled, optical.beta)
 
 
 def _ks_statistic_normal(standardized: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from attocell.cli import (
     main,
 )
 from attocell.coverage import CoverageCurve
-from attocell.model import DerivedConstants, OpticalConfig, tail_bound
+from attocell.model import OpticalConfig, tail_bound
 
 TINY_INI = """\
 [geometry]
@@ -377,7 +377,7 @@ class TestSweep:
         assert data["max_abs_diff_overall"] >= 0.0
         cfg = load_config(str(tiny_config))
         geometry = cfg.geometry(1.5)
-        beta = DerivedConstants.from_configs(cfg.optical, geometry).beta
+        beta = cfg.optical.beta
         sampled = dataclasses.replace(geometry, trunc=cfg.mc_trunc)
         assert data["montecarlo_tail_bound"] == {"h1.5": tail_bound(sampled, beta)}
 
@@ -561,25 +561,38 @@ class TestFlags:
             assert np.all((values >= 0.0) & (values <= 1.0))
 
     @pytest.mark.parametrize(
-        "method,height,message",
+        "command,flags",
         [
             # K^2 underflows to 0 (the eta grid would divide by it)
-            ("brute", "1e-300", "error: geometry.height = 1e-300 "),
-            ("montecarlo", "1e-300", "error: geometry.height = 1e-300 "),
-            # K^2 overflows
-            ("brute", "1e150", "error: geometry.height = 1e+150 "),
-            ("montecarlo", "1e150", "error: geometry.height = 1e+150 "),
-            # K^2 fits, the series' integral term h^(2 - 2e) at e = 2 beta does not
-            ("analytic", "1e-30", "error: OverflowError: "),
+            ("sweep", ["--methods", "brute", "--heights", "1e-300"]),
+            ("sweep", ["--methods", "montecarlo", "--heights", "1e-300"]),
+            # K^2 overflows; the brute sums underflow to 0 first
+            ("sweep", ["--methods", "brute", "--heights", "1e150"]),
+            ("sweep", ["--methods", "montecarlo", "--heights", "1e150"]),
+            # a term of the series leaves the float range: the integral term
+            # h^(2 - 2e) at e = 2 beta for a low height, the mode prefactor
+            # (h / (2 pi rho))^(e - 1) for a high one
+            ("sweep", ["--methods", "analytic", "--heights", "1e-30"]),
+            ("sweep", ["--methods", "analytic", "--heights", "1e-300"]),
+            ("sweep", ["--methods", "analytic", "--heights", "1e150"]),
+            ("sweep", ["--methods", "analytic", "--heights", "1e50"]),
+            ("sums", ["--height", "1e150"]),
+            # K^2 fits, but every brute-force weight underflows to 0
+            ("sweep", ["--methods", "brute", "--heights", "1e50"]),
         ],
-        ids=["brute-1e-300", "montecarlo-1e-300", "brute-1e150", "montecarlo-1e150", "analytic-1e-30"],
+        ids=[
+            "brute-1e-300", "montecarlo-1e-300", "brute-1e150", "montecarlo-1e150", "analytic-1e-30",
+            "analytic-1e-300", "analytic-1e150", "analytic-1e50", "sums-1e150", "brute-1e50",
+        ],
     )
-    def test_extreme_height_is_an_error(self, tiny_config, tmp_path, capsys, method, height, message):
+    def test_extreme_height_is_an_error(self, tiny_config, tmp_path, capsys, command, flags):
         out = tmp_path / "o"
-        argv = ["--config", str(tiny_config), "--methods", method, "--heights", height, "--out", str(out)]
-        assert run_cli("sweep", *argv) == EXIT_CONFIG
-        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and errors[0].startswith(message)
+        argv = ["--config", str(tiny_config), *flags] + (["--out", str(out)] if command == "sweep" else [])
+        assert run_cli(command, *argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: geometry.height = {float(flags[-1])!r} ")
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(

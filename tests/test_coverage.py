@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from attocell import (
     CoverageCurve,
-    DerivedConstants,
     NetworkGeometry,
     TABLE_DEFAULT_OPTICS,
     attocell_quadrature,
@@ -126,10 +125,9 @@ class TestCoverageAt:
         assert coverage_spatial(optics, geometry, 0.5, 1e9, quad_order=4) == 0.0
 
     def test_composition(self, optics, geometry):
-        c = DerivedConstants.from_configs(optics, geometry)
         p = 0.4
-        s_m = sm_series(geometry, c.beta, (0.0, 0.0)).value
-        s_v = sv_series(geometry, c.beta, (0.0, 0.0)).value
+        s_m = sm_series(geometry, optics.beta, (0.0, 0.0)).value
+        s_v = sv_series(geometry, optics.beta, (0.0, 0.0)).value
         expected = conditional_coverage(
             eta(optics, geometry, (0.0, 0.0), 0.3), p * s_m, math.sqrt(p * (1 - p) * s_v)
         )
@@ -300,7 +298,7 @@ class TestGivenSums:
 
     @staticmethod
     def _node_sums(optics, geometry, order):
-        beta = DerivedConstants.from_configs(optics, geometry).beta
+        beta = optics.beta
         zx, zy, _ = attocell_quadrature(geometry, order)
         return moment_sums(geometry, (beta, 2.0 * beta), zx, zy)
 

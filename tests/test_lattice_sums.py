@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from attocell import (
-    DerivedConstants,
     NetworkGeometry,
     attocell_quadrature,
     moment_sums,
@@ -110,7 +109,7 @@ class TestBruteForce:
         # the site table, and the sum adds the rows as the per-call row
         # oracle does
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
-        beta = DerivedConstants.from_configs(optics, geometry).beta
+        beta = optics.beta
         for pos in ((0.0, 0.0), (0.13, -0.07), (0.25, 0.25)):
             for e in (beta, 2 * beta, 3 * beta, beta + 0.5):
                 assert sm_brute(geometry, e, pos).value == row_fsum(geometry, e, pos, trunc)
@@ -257,7 +256,7 @@ class TestMomentSums:
     def test_equals_per_position_sums(self, optics):
         # the kernel over nodes is the per-position sums, bit for bit
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=30)
-        beta = DerivedConstants.from_configs(optics, geometry).beta
+        beta = optics.beta
         zx, zy, _ = attocell_quadrature(geometry, 6)
         exponents = (beta, 2 * beta, 3 * beta)
         series = moment_sums(geometry, exponents, zx, zy)
@@ -273,7 +272,7 @@ class TestMomentSums:
         # the one-pass kernel against the independent per-call row fsum,
         # for more exponents than the coverage path asks for
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
-        beta = DerivedConstants.from_configs(optics, geometry).beta
+        beta = optics.beta
         zx, zy, _ = attocell_quadrature(geometry, 3)
         exponents = (beta, 2 * beta, 3 * beta, 4 * beta, beta + 0.5)
         brute = moment_sums(geometry, exponents, zx, zy, sums="brute")
@@ -291,7 +290,7 @@ class TestMomentSums:
         # row sums then fsum over rows: within a few ulps of the correctly
         # rounded sum of the same weights, at h/a 1, 3 and 6
         geometry = NetworkGeometry(pitch=0.5, height=height, trunc=trunc)
-        beta = DerivedConstants.from_configs(optics, geometry).beta
+        beta = optics.beta
         zx, zy, _ = attocell_quadrature(geometry, 3)
         exponents = (beta, 2 * beta, 3 * beta, 4 * beta, beta + 0.5)
         brute = moment_sums(geometry, exponents, zx, zy, sums="brute")

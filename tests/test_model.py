@@ -9,17 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import attocell
 from attocell import (
-    DerivedConstants,
     NetworkGeometry,
     OpticalConfig,
     TABLE_DEFAULT_OPTICS,
-    channel_gain,
     eta,
+    gain_constant,
     lambertian_order,
     lattice_sites,
     sinr,
@@ -77,45 +74,18 @@ class TestConfigs:
     def test_gain_constant_out_of_range(self, optics, height):
         # K^2 underflows to 0 or overflows: no eta grid can be formed
         with pytest.raises(ValueError, match=r"geometry\.height"):
-            DerivedConstants.from_configs(optics, NetworkGeometry(pitch=0.5, height=height))
+            gain_constant(optics, NetworkGeometry(pitch=0.5, height=height))
 
     def test_derived_constants_reference_values(self, optics, geometry):
-        c = DerivedConstants.from_configs(optics, geometry)
-        assert c.m == pytest.approx(1.0, rel=1e-12)
-        assert c.beta == pytest.approx(4.0, rel=1e-12)
-        # sigma^2 = N_o W: product of the configured PSD and bandwidth
-        assert c.noise_var == pytest.approx(4.14e-21 * 40e6, rel=1e-15)
+        m = lambertian_order(optics.half_angle)
+        assert m == pytest.approx(1.0, rel=1e-12)
+        assert optics.beta == m + 3.0
+        assert optics.beta == pytest.approx(4.0, rel=1e-12)
+        k = gain_constant(optics, geometry)
         k_hand = 2.0 * 1e-4 * 1.5**2 / (2.0 * math.pi)
-        assert c.gain_const == pytest.approx(k_hand, rel=1e-12)
-
-
-class TestChannelGain:
-    def test_nadir_value(self, optics, geometry):
-        c = DerivedConstants.from_configs(optics, geometry)
-        assert channel_gain(c, geometry, 0.0) == pytest.approx(GAIN_AT_NADIR, rel=1e-12)
-
-    def test_nadir_identity(self, optics, geometry):
-        c = DerivedConstants.from_configs(optics, geometry)
-        assert channel_gain(c, geometry, 0.0) == pytest.approx(
-            c.gain_const * geometry.height ** (-c.beta), rel=1e-12
-        )
-
-    @given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=1e-3, max_value=50.0))
-    @settings(max_examples=200, deadline=None)
-    def test_strictly_decreasing(self, d, delta):
-        geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=10)
-        c = DerivedConstants.from_configs(TABLE_DEFAULT_OPTICS, geometry)
-        assert channel_gain(c, geometry, d + delta) < channel_gain(c, geometry, d)
-
-    def test_far_field_decay(self, optics, geometry):
-        c = DerivedConstants.from_configs(optics, geometry)
-        assert channel_gain(c, geometry, 1e6) < 1e-20
-        assert channel_gain(c, geometry, geometry.pitch) < channel_gain(c, geometry, 0.0)
-
-    def test_negative_distance_raises(self, optics, geometry):
-        c = DerivedConstants.from_configs(optics, geometry)
-        with pytest.raises(ValueError):
-            channel_gain(c, geometry, -0.1)
+        assert k == pytest.approx(k_hand, rel=1e-12)
+        # the channel gain at nadir, K h^-beta
+        assert k * geometry.height ** (-optics.beta) == pytest.approx(GAIN_AT_NADIR, rel=1e-12)
 
 
 class TestLatticeSites:
@@ -136,10 +106,10 @@ class TestLatticeSites:
 
 
 def _noise_limited_snr(optics, geometry, pos):
-    c = DerivedConstants.from_configs(optics, geometry)
     zx, zy = pos
-    g0_sq = c.gain_const**2 * (zx * zx + zy * zy + geometry.height**2) ** (-c.beta)
-    return optics.power**2 * g0_sq * optics.responsivity**2 / c.noise_var
+    k = gain_constant(optics, geometry)
+    g0_sq = k**2 * (zx * zx + zy * zy + geometry.height**2) ** (-optics.beta)
+    return optics.power**2 * g0_sq * optics.responsivity**2 / (optics.noise_psd * optics.bandwidth)
 
 
 class TestSinr:
@@ -188,12 +158,11 @@ class TestSinr:
 
     def test_threshold_event_matches_eta(self, optics, rng):
         # gamma(z) > theta if and only if C < eta(z, theta)
-        c = DerivedConstants.from_configs(optics, self.geometry)
         pos = (0.12, -0.2)
         sites = lattice_sites(self.geometry.trunc)
         dx = sites[:, 0] * self.geometry.pitch + pos[0]
         dy = sites[:, 1] * self.geometry.pitch + pos[1]
-        weights = (dx * dx + dy * dy + self.geometry.height**2) ** (-c.beta)
+        weights = (dx * dx + dy * dy + self.geometry.height**2) ** (-optics.beta)
         for theta in (0.05, 0.2213, 1.0, 5.0):
             e = eta(optics, self.geometry, pos, theta)
             for _ in range(40):
@@ -209,9 +178,9 @@ class TestSinr:
 
 class TestTailBound:
     def test_bounds_truncation_gap(self, geometry):
-        c = DerivedConstants.from_configs(TABLE_DEFAULT_OPTICS, geometry)
-        near = sm_brute(geometry, c.beta, (0.2, 0.1), trunc=60)
-        far = sm_brute(geometry, c.beta, (0.2, 0.1), trunc=200)
+        beta = TABLE_DEFAULT_OPTICS.beta
+        near = sm_brute(geometry, beta, (0.2, 0.1), trunc=60)
+        far = sm_brute(geometry, beta, (0.2, 0.1), trunc=200)
         assert far.value - near.value <= near.tail_bound
         assert near.tail_bound < 1e-6 * near.value
 
@@ -277,14 +246,11 @@ class TestSiteWeights:
         [12.0, 15.0, 3 * (lambertian_order(math.pi / 3) + 3), 3 * (lambertian_order(1.0) + 3)],
         ids=["12", "15", "3beta_60deg", "3beta_1rad"],
     )
-    def test_out_may_be_base(self, geometry, exponent):
-        # the divisions must not read a base that the weights overwrote
+    def test_matches_interference_weights(self, geometry, exponent):
         for pos in POSITIONS:
             base = site_bases(geometry, pos)
             fresh = _site_weights(base, exponent)
             assert_near_power(fresh, base, exponent)
-            assert _site_weights(base, exponent, out=base) is base
-            assert np.array_equal(base, fresh)
             assert np.array_equal(interference_weights(geometry, exponent, pos), fresh)
 
     @pytest.mark.skipif(
