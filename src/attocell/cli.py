@@ -43,8 +43,8 @@ import numpy as np
 
 from . import __version__
 from .coverage import CoverageCurve, coverage_curves, db_to_linear
-from .lattice_sums import series_mode_terms, sm_brute, sm_series, sv_brute, sv_series
-from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS
+from .lattice_sums import moment_sums, series_mode_terms
+from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, tail_bound
 from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
 from .specfun import gamma
 
@@ -490,12 +490,13 @@ def run_sums(cfg: RunConfig, pos: tuple[float, float], jl: tuple[int, int], heig
         "",
         f"{'sum':<4} {'brute force':>24} {'series':>24} {'rel err':>10} {'tail bound':>12}",
     ]
-    for label, brute_fn, series_fn in (("S_m", sm_brute, sm_series), ("S_v", sv_brute, sv_series)):
-        b = brute_fn(geometry, beta, pos)
-        s = series_fn(geometry, beta, pos, jl=jl)
-        rel = abs(s.value - b.value) / b.value
-        lines.append(f"{label:<4} {_fmt(b.value):>24} {_fmt(s.value):>24} {rel:>10.2e} {b.tail_bound:>12.2e}")
-    for label, exponent in (("g_m", beta), ("g_v", 2 * beta)):
+    exponents = (beta, 2.0 * beta)
+    brute = moment_sums(geometry, exponents, *pos, "brute")[:, 0].tolist()
+    series = moment_sums(geometry, exponents, *pos, "series", jl)[:, 0].tolist()
+    for label, e, b, s in zip(("S_m", "S_v"), exponents, brute, series):
+        rel = abs(s - b) / b
+        lines.append(f"{label:<4} {_fmt(b):>24} {_fmt(s):>24} {rel:>10.2e} {tail_bound(geometry, e):>12.2e}")
+    for label, exponent in zip(("g_m", "g_v"), exponents):
         lines += ["", f"{label} breakdown (weight 1/2 on axis modes; uniform value shown for reference):"]
         for row in series_mode_terms(geometry, exponent, pos, jl=jl):
             extra = (
@@ -516,8 +517,8 @@ def run_validate(cfg: RunConfig, budget: float) -> int:
     worst = 0.0
     lines = [f"{'h':>6} {'p':>6} {'max |MC - analytic|':>22} {'mean stderr':>12}"]
     for height in cfg.heights:
-        empirical, tail = _curves(cfg, height, "montecarlo", cfg.mc_quad_order)
         analytic, _ = _curves(cfg, height, "analytic", cfg.mc_quad_order)
+        empirical, tail = _curves(cfg, height, "montecarlo", cfg.mc_quad_order)
         deltas = _max_deviation(empirical, analytic)
         for p in cfg.p_list:
             worst = max(worst, deltas[p])

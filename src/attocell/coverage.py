@@ -166,18 +166,11 @@ def attocell_quadrature(
 
 
 def _node_sums(geometry: NetworkGeometry, beta: float, zx, zy, sums) -> np.ndarray:
-    """S(beta) and S(2 beta) at every node, shape (2, len(zx)): computed by
-    the named method, or ``sums`` itself when it is such an array.  A named
-    method's sum that underflows to 0 (brute force with h far above the
-    pitch) raises a ``ValueError`` naming ``geometry.height``."""
+    """S(beta) and S(2 beta) at every node, shape (2, len(zx)): from
+    ``moment_sums`` by the named method, which refuses sums outside the float
+    range, or ``sums`` itself when it is such an array of finite values > 0."""
     if isinstance(sums, str):
-        values = moment_sums(geometry, (beta, 2.0 * beta), zx, zy, sums)
-        if not np.all(np.isfinite(values) & (values > 0.0)):
-            raise ValueError(
-                f"geometry.height = {geometry.height!r} puts the {sums} sums S(beta) and S(2 beta) "
-                f"outside the float range (h/a = {geometry.height / geometry.pitch:.6g})"
-            )
-        return values
+        return moment_sums(geometry, (beta, 2.0 * beta), zx, zy, sums)
     values = np.asarray(sums, dtype=float)
     if values.shape != (2, zx.size):
         raise ValueError(
@@ -282,16 +275,15 @@ def coverage_curves(
     theta_db,
     quad_order: int = 32,
     sums: str = "series",
-    use_symmetry: bool = True,
 ) -> list[CoverageCurve]:
     """``coverage_curve`` for every p in ``p_list``, in order.  The moment
     sums, "series" or "brute", do not depend on p, so they are computed once
     and passed to every curve."""
     p_list = [_check_p(p) for p in p_list]
-    zx, zy, _ = attocell_quadrature(geometry, quad_order, use_symmetry)
+    zx, zy, _ = attocell_quadrature(geometry, quad_order)
     node_sums = _node_sums(geometry, optical.beta, zx, zy, sums)
     return [
-        coverage_curve(optical, geometry, p, theta_db, quad_order, node_sums, use_symmetry)
+        coverage_curve(optical, geometry, p, theta_db, quad_order, node_sums)
         for p in p_list
     ]
 

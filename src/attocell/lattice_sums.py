@@ -40,10 +40,14 @@ It is the one place that picks the evaluator:
   comparison confirms the halved axis weight to ~1e-10 relative, while a
   uniform weight of 1 misses by ~1e-5 (S_m) to ~6e-4 (S_v) at h/a = 3; see
   VALIDATION.md.  ``series_mode_terms`` reports each mode's uniform-weight
-  value next to the weighted contribution, for diagnostics.  A series
-  value <= 0 or non-finite raises ``ValueError``: S(e) sums positive
-  terms, so the mode window is far too small there (a narrow beam or a low
-  mounting) and brute force is the remedy.
+  value next to the weighted contribution, for diagnostics.  A negative
+  series value raises a ``ValueError`` naming the mode window: S(e) sums
+  positive terms, so the window is far too small there (a narrow beam or a
+  low mounting) and brute force is the remedy.
+
+``moment_sums`` alone refuses a sum that leaves the float range: a value of
+0 or not finite, by either evaluator, or a series term that overflows, is a
+``ValueError`` naming ``geometry.height`` (h far below or above the pitch).
 
 ``sm_brute`` / ``sv_brute`` and ``sm_series`` / ``sv_series`` are the
 per-position forms (exponent beta and 2 beta) returning a ``SumResult``.
@@ -159,20 +163,6 @@ def _check_jl(jl) -> tuple[int, int]:
     return j, l
 
 
-def _check_series(geometry: NetworkGeometry, exponents, zx, zy, jl, values) -> None:
-    """S(e) sums positive terms, so a series value <= 0 or non-finite means
-    the mode window jl is far too small there: raise rather than return it."""
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if bad.any():
-        k, i = (int(n[0]) for n in np.nonzero(bad))
-        raise ValueError(
-            f"series sum S(e) at exponent e = {exponents[k]:.6g} is {values[k, i]:.3e} at node "
-            f"({zx[i]:.6g}, {zy[i]:.6g}) with h/a = {geometry.height / geometry.pitch:.6g} and "
-            f"mode window jl = ({jl[0]}, {jl[1]}); the series has not converged there, use "
-            f'sums="brute" (--methods brute) instead'
-        )
-
-
 def moment_sums(
     geometry: NetworkGeometry,
     exponents,
@@ -187,8 +177,6 @@ def moment_sums(
     ``sums="series"`` evaluates the dual-lattice closed form over the mode
     window jl = (j, l), i.e. [0, j] x [0, l] minus the origin; (1, 1) is
     ample for h/a >= 3 and (0, 0) keeps only the integral and self terms.
-    A term that overflows a float (h far below or above the pitch) raises
-    a ``ValueError`` naming ``geometry.height``.
     ``sums="brute"`` sums the lattice directly out to ``geometry.trunc``
     rings: per node, the grid of D^2 + h^2 is computed once and raised to
     each exponent, with two grid buffers live for the whole call; the rows
@@ -197,6 +185,10 @@ def moment_sums(
     is the same on every numpy SIMD target; any other exponent by
     ``np.power`` (``model._site_weights``).  Each row depends on its own
     exponent alone, not on which others are asked for or in what order.
+
+    Either way, a value of 0 or not finite (or a series term that
+    overflows) raises a ``ValueError`` naming ``geometry.height``, and a
+    negative series value one naming the mode window.
     """
     exponents = [_check_exponent(e) for e in exponents]
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
@@ -210,15 +202,26 @@ def moment_sums(
         try:
             values = np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
         except OverflowError:
-            raise ValueError(
-                f"geometry.height = {geometry.height!r} puts a term of the series S(e) outside "
-                f"the float range (h/a = {geometry.height / geometry.pitch:.6g})"
-            ) from None
-        _check_series(geometry, exponents, zx, zy, jl, values)
-        return values
-    if sums == "brute":
-        return _brute_values(geometry, exponents, zx, zy)
-    raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")
+            values = np.array([[math.inf]])  # a series term left the float range
+    elif sums == "brute":
+        values = _brute_values(geometry, exponents, zx, zy)
+    else:
+        raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")
+    if not np.all(np.isfinite(values) & (values != 0.0)):
+        raise ValueError(
+            f"geometry.height = {geometry.height!r} puts the {sums} sums S(e) outside the float "
+            f"range (h/a = {geometry.height / geometry.pitch:.6g})"
+        )
+    negative = np.argwhere(values < 0.0)
+    if negative.size:
+        k, i = negative[0]
+        raise ValueError(
+            f"series sum S(e) at exponent e = {exponents[k]:.6g} is {values[k, i]:.3e} at node "
+            f"({zx[i]:.6g}, {zy[i]:.6g}) with h/a = {geometry.height / geometry.pitch:.6g} and "
+            f"mode window jl = ({jl[0]}, {jl[1]}); the series has not converged there, use "
+            f'sums="brute" (--methods brute) instead'
+        )
+    return values
 
 
 def sm_series(

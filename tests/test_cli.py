@@ -25,7 +25,8 @@ from attocell.cli import (
     main,
 )
 from attocell.coverage import CoverageCurve
-from attocell.model import OpticalConfig, tail_bound
+from attocell.lattice_sums import sm_brute, sm_series, sv_brute, sv_series
+from attocell.model import TABLE_DEFAULT_OPTICS, NetworkGeometry, OpticalConfig, tail_bound
 
 TINY_INI = """\
 [geometry]
@@ -579,10 +580,17 @@ class TestFlags:
             ("sums", ["--height", "1e150"]),
             # K^2 fits, but every brute-force weight underflows to 0
             ("sweep", ["--methods", "brute", "--heights", "1e50"]),
+            # every term fits, but the sums underflow to 0: the series S(2 beta)
+            # at 1e30 and 1e42, every brute-force weight at e = beta for sums
+            ("sums", ["--height", "1e42"]),
+            ("sums", ["--height", "1e60"]),
+            ("sweep", ["--methods", "analytic", "--heights", "1e30"]),
+            ("sweep", ["--methods", "analytic", "--heights", "1e42"]),
         ],
         ids=[
             "brute-1e-300", "montecarlo-1e-300", "brute-1e150", "montecarlo-1e150", "analytic-1e-30",
             "analytic-1e-300", "analytic-1e150", "analytic-1e50", "sums-1e150", "brute-1e50",
+            "sums-1e42", "sums-1e60", "analytic-1e30", "analytic-1e42",
         ],
     )
     def test_extreme_height_is_an_error(self, tiny_config, tmp_path, capsys, command, flags):
@@ -657,6 +665,22 @@ class TestSums:
         assert run_cli("sums", "--config", str(tiny_config), "--pos", pos) == EXIT_CONFIG
         assert "--pos" in capsys.readouterr().err
 
+    def test_report_numbers_are_the_per_position_sums(self, tiny_config, capsys):
+        # every printed S_m and S_v digit, and each tail bound, as the
+        # per-position sums give them
+        pos, jl = (0.13, -0.07), (2, 2)
+        argv = ["--config", str(tiny_config), "--pos", "0.13,-0.07", "--jl", "2,2", "--trunc", "60"]
+        assert run_cli("sums", *argv) == EXIT_OK
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines() if line}
+        geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=60)
+        beta = TABLE_DEFAULT_OPTICS.beta
+        for label, brute_fn, series_fn in (("S_m", sm_brute, sm_series), ("S_v", sv_brute, sv_series)):
+            brute = brute_fn(geometry, beta, pos)
+            series = series_fn(geometry, beta, pos, jl=jl)
+            _, b, s, _, tail = rows[label]
+            assert b == f"{brute.value:.17g}" and s == f"{series.value:.17g}"
+            assert tail == f"{brute.tail_bound:.2e}"
+
 
 class TestValidate:
     @pytest.mark.parametrize("budget", ["nan", "-0.1"])
@@ -668,6 +692,18 @@ class TestValidate:
         code = run_cli("validate", "--config", str(tiny_config), "--budget", budget)
         assert code == EXIT_CONFIG
         assert "--budget" in capsys.readouterr().err
+
+    def test_series_refusal_before_sampling(self, tiny_config, capsys, monkeypatch):
+        # the analytic curves of a height come first, so a height whose
+        # series sums leave the float range stops the run before any sampling
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the analytic curves")
+
+        monkeypatch.setattr("attocell.cli.empirical_coverage_curves", no_sampling)
+        assert run_cli("validate", "--config", str(tiny_config), "--heights", "1e42") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: geometry.height = 1e+42 ")
 
     def test_passes_with_reasonable_trials(self, tiny_config, capsys):
         code = run_cli("validate", "--config", str(tiny_config), "--trials", "400")

@@ -245,6 +245,18 @@ class TestSeries:
         with pytest.raises(ValueError, match=r'h/a = 1 and mode window jl = \(1, 1\).*sums="brute"'):
             moment_sums(low, (4.0, 8.0), zx, zy)
 
+    def test_sums_outside_float_range_name_the_height(self):
+        # h/a = 2e42: every brute-force weight at e = 4 underflows to 0;
+        # h/a = 2e30: the series S(8) underflows to 0
+        high = NetworkGeometry(pitch=0.5, height=1e42, trunc=20)
+        with pytest.raises(ValueError, match=r"geometry\.height = 1e\+42 puts the brute sums"):
+            moment_sums(high, (4.0,), [0.0], [0.0], "brute")
+        with pytest.raises(ValueError, match=r"geometry\.height = "):
+            sm_brute(high, 4.0, (0.0, 0.0))
+        tall = NetworkGeometry(pitch=0.5, height=1e30, trunc=20)
+        with pytest.raises(ValueError, match=r"geometry\.height = 1e\+30 puts the series sums"):
+            moment_sums(tall, (4.0, 8.0), [0.0], [0.0], "series")
+
     def test_invalid_modes(self, geometry):
         with pytest.raises(ValueError):
             sm_series(geometry, 4.0, (0.0, 0.0), jl=(-1, 1))

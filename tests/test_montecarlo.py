@@ -431,6 +431,12 @@ class TestCltDiagnostics:
             with pytest.raises(ValueError):
                 clt_diagnostics(ThinningModel(p=p, seed=1), small_geometry, BETA, (0, 0), 10)
 
+    def test_sums_outside_float_range_name_the_height(self):
+        # h/a = 2e42: the brute-force S_m that standardizes the samples is 0
+        geometry = NetworkGeometry(0.5, 1e42, 5)
+        with pytest.raises(ValueError, match=r"geometry\.height = "):
+            clt_diagnostics(ThinningModel(p=0.5, seed=1), geometry, BETA, (0.0, 0.0), 10)
+
     def test_moments_and_ks(self, optics):
         geometry = NetworkGeometry(0.5, 1.5, 20)
         model = ThinningModel(p=0.5, seed=2024)
