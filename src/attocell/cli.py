@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .coverage import CoverageCurve, coverage_curves, db_to_linear
+from .coverage import CoverageCurve, coverage_curves
 from .lattice_sums import moment_sums, series_mode_terms
 from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, tail_bound
 from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
@@ -417,8 +417,7 @@ def _curves(
         cfg.optical, geometry, cfg.p_list, theta_db=grid, seed=cfg.seed, trials_per_node=cfg.trials,
         quad_order=quad_order, trunc=cfg.mc_trunc, n_jobs=cfg.jobs,
     )
-    linear = db_to_linear(grid)
-    return {p: CoverageCurve(grid, linear, means[k], stderrs[k]) for k, p in enumerate(cfg.p_list)}, tail
+    return {p: CoverageCurve(grid, means[k], stderrs[k]) for k, p in enumerate(cfg.p_list)}, tail
 
 
 def _max_deviation(a: dict[float, CoverageCurve], b: dict[float, CoverageCurve]) -> dict[float, float]:
@@ -514,6 +513,8 @@ def run_validate(cfg: RunConfig, budget: float) -> int:
     cfg.validate()
     if not (math.isfinite(budget) and budget >= 0.0):
         raise ConfigError(f"--budget: must be finite and >= 0, got {budget!r}")
+    if cfg.trials < 2:
+        raise ConfigError(f"thinning.trials: validate needs >= 2 for a sample variance, got {cfg.trials!r}")
     worst = 0.0
     lines = [f"{'h':>6} {'p':>6} {'max |MC - analytic|':>22} {'mean stderr':>12}"]
     for height in cfg.heights:

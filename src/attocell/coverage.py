@@ -207,34 +207,34 @@ def coverage_spatial(
     p: float,
     theta_linear: float,
     quad_order: int = 32,
-    sums: str = "series",
-    use_symmetry: bool = True,
 ) -> float:
-    """Coverage probability averaged over the attocell at one threshold, with
-    the moment sums from ``sums="series"`` (closed form over ``moment_sums``'
-    default mode window) or ``"brute"`` (out to ``geometry.trunc`` rings)."""
-    values = _spatial_values(
-        optical, geometry, p, float(theta_linear), quad_order, sums, use_symmetry
-    )
+    """Coverage probability averaged over the attocell at one linear
+    threshold, from the series moment sums on the octant-folded grid
+    (``coverage_curve`` takes brute or given sums, and the full grid)."""
+    values = _spatial_values(optical, geometry, p, float(theta_linear), quad_order, "series", True)
     return float(values[0])
 
 
 @dataclass(frozen=True)
 class CoverageCurve:
-    """Coverage probability against a grid of SINR thresholds."""
+    """Coverage probability against a grid of SINR thresholds (dB); the
+    linear thresholds are derived from the dB grid."""
 
     theta_db: np.ndarray
-    theta_linear: np.ndarray
     values: np.ndarray
     stderr: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.theta_db.shape == self.theta_linear.shape == self.values.shape):
-            raise ValueError("theta grids and values must have matching shapes")
+        if self.theta_db.shape != self.values.shape:
+            raise ValueError("theta_db and values must have matching shapes")
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise ValueError("coverage values must lie in [0, 1]")
         if self.stderr is not None and self.stderr.shape != self.values.shape:
             raise ValueError("stderr must match the grid shape")
+
+    @property
+    def theta_linear(self) -> np.ndarray:
+        return db_to_linear(self.theta_db)
 
 
 def coverage_curve(
@@ -248,8 +248,9 @@ def coverage_curve(
 ) -> CoverageCurve:
     """Spatially averaged coverage over a threshold grid (dB).
 
-    ``sums`` names how the moment sums are computed, "series" or "brute" as
-    for ``coverage_spatial``, or gives them: the (2, nodes) array that
+    ``sums`` names how the moment sums are computed, "series" (closed form
+    over ``moment_sums``' default mode window) or "brute" (out to
+    ``geometry.trunc`` rings), or gives them: the (2, nodes) array that
     ``moment_sums(geometry, (beta, 2 beta), zx, zy, ...)`` returns at the
     nodes of ``attocell_quadrature(geometry, quad_order, use_symmetry)``.
     Either way each node's sums serve the whole threshold grid, so the cost
@@ -257,15 +258,10 @@ def coverage_curve(
     (node, theta) pair.
     """
     theta_db = np.atleast_1d(np.asarray(theta_db, dtype=float))
-    theta_lin = db_to_linear(theta_db)
     values = _spatial_values(
-        optical, geometry, p, theta_lin, quad_order, sums, use_symmetry
+        optical, geometry, p, db_to_linear(theta_db), quad_order, sums, use_symmetry
     )
-    return CoverageCurve(
-        theta_db=theta_db,
-        theta_linear=theta_lin,
-        values=values,
-    )
+    return CoverageCurve(theta_db=theta_db, values=values)
 
 
 def coverage_curves(

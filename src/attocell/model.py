@@ -157,7 +157,7 @@ TABLE_DEFAULT_OPTICS = OpticalConfig(
 def lattice_sites(trunc: int) -> np.ndarray:
     """Interferer lattice indices (u, v), |u|,|v| <= trunc, origin excluded.
 
-    Returns a read-only array of shape ((2 trunc + 1)^2 - 1, 2) in row-major
+    Returns a new array of shape ((2 trunc + 1)^2 - 1, 2) in row-major
     order (u slow, v fast).  This ordering is the contract for every
     thinning realization: ``alphas[i]`` refers to ``lattice_sites(trunc)[i]``.
     """
@@ -166,9 +166,7 @@ def lattice_sites(trunc: int) -> np.ndarray:
         raise ValueError(f"trunc must be >= 1, got {trunc!r}")
     axis = np.arange(-trunc, trunc + 1, dtype=np.int64)
     u, v = np.meshgrid(axis, axis, indexing="ij")
-    sites = np.delete(np.column_stack([u.ravel(), v.ravel()]), u.size // 2, axis=0)
-    sites.setflags(write=False)
-    return sites
+    return np.delete(np.column_stack([u.ravel(), v.ravel()]), u.size // 2, axis=0)
 
 
 def _site_bases(geometry: NetworkGeometry, zx: float, zy: float, out=None) -> np.ndarray:

@@ -41,11 +41,11 @@ block shape, thread count or FMA gives the same C, equal bit for bit to
 the float64 sum of the fixed-point weights.  The rounding moves C by at
 most n * 2^-53 * S_m for n sites (to first order), where S_m = sum_i w_i
 over the sampled lattice.  Internally the words are drawn, compared and
-summed a slice of at most 64 trials at a time, which keeps them and the
-mask in cache and bounds memory in the trial count; a slice is cut
-shorter where that keeps its product within OpenBLAS's small-matrix sgemm
-(see ``_SMALL_GEMM``).  Slicing only groups the words, in the same order,
-so it changes no result.
+summed a slice of trials at a time, as many as keep the slice's product
+within OpenBLAS's small-matrix sgemm (see ``_SMALL_GEMM``), which also
+keeps the words and the mask in cache and bounds memory in the trial
+count.  Slicing only groups the words, in the same order, so it changes
+no result.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ __all__ = [
     "empirical_coverage_curves",
     "clt_diagnostics",
 ]
-
-# trials drawn, compared and summed at once: keeps the words and the mask in
-# cache
-_SLICE = 64
 
 # largest M*N*K that OpenBLAS's small-matrix sgemm takes (100^3 in its x86-64
 # kernels).  That kernel runs on the calling thread; a larger product goes to
@@ -156,8 +152,8 @@ def _limbs(w_int: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
-    """Yield, for each slice of up to ``_SLICE`` trials in order (fewer where
-    a slice's product would pass ``_SMALL_GEMM``), C under
+    """Yield, for each slice of trials in order, as many as keep the
+    slice's product within ``_SMALL_GEMM`` (at least one), C under
     every p in ``p_list`` as one array of shape (len(p_list), rows).  One
     32-bit Philox word per (trial, site) is drawn once and shared across
     the p grid, and a site transmits when its word falls below the cut of
@@ -176,7 +172,7 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
     place = bits * np.arange(limbs.shape[1])
     # u = (r >> 8) 2^-24 < float32(p)  <=>  r < ceil(float32(p) 2^24) 2^8
     cuts = [math.ceil(float(np.float32(p)) * 2**24) << 8 for p in p_list]
-    slice_rows = max(1, min(_SLICE, trials, _SMALL_GEMM // (n * limbs.shape[1])))
+    slice_rows = max(1, min(trials, _SMALL_GEMM // (n * limbs.shape[1])))
     mask = np.empty((slice_rows, n), dtype=np.float32)
     sums = np.empty((len(cuts), slice_rows, limbs.shape[1]), dtype=np.float32)
     for i in range(0, trials, slice_rows):
@@ -311,10 +307,12 @@ def clt_diagnostics(
     Samples are standardized by the brute-force moments (p S_m,
     sqrt(p (1-p) S_v)) over the same truncated lattice used for sampling,
     then compared against N(0, 1).  Undefined at p in {0, 1} where C is
-    deterministic.
+    deterministic, and for fewer than 2 trials.
     """
     if not 0.0 < model.p < 1.0:
         raise ValueError("clt diagnostics require 0 < p < 1")
+    if int(trials) < 2:
+        raise ValueError(f"trials must be >= 2 for a sample variance, got {trials!r}")
     samples = interference_samples(model, geometry, beta, pos, trials)
     sampled = _with_trunc(geometry, model.trunc)
     s_m = sm_brute(sampled, beta, pos).value

@@ -1,10 +1,14 @@
 """Public API surface: every exported name resolves, so a deletion cannot
-leave a stale export behind. Every file the package writes goes through
+leave a stale export behind, and every function the benchmark tracer wraps
+still exists. Every file the package writes goes through
 ``cli._write_output``."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,23 @@ def test_star_import():
     namespace = {}
     exec("from attocell import *", namespace)
     assert set(attocell.__all__) <= set(namespace)
+
+
+def test_bench_tracer_targets_resolve(monkeypatch):
+    # bench/tracing.py wraps these by name; a rename would otherwise show
+    # only when the benchmark runs
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [f"{home}.{attr}" for home, attr, *_ in tracing._TARGETS
+               if not hasattr(importlib.import_module(home), attr)]
+    assert missing == []
+    # the parameters that _site_draws_hook binds
+    parameters = inspect.signature(attocell.empirical_coverage_curves).parameters
+    assert {"geometry", "trunc", "trials_per_node"} <= set(parameters)
 
 
 def _opens_for_writing(call: ast.Call) -> bool:

@@ -333,7 +333,7 @@ class TestSweep:
         values = np.array([1.0, 0.1, 5e-324, 0.0, 1.0 / 3.0])
         stderr = np.array([0.0, 1.0, 0.1, 5e-324, 2.0 / 3.0]) if with_stderr else None
         path = tmp_path / "curve.csv"
-        _write_curve_csv(path, CoverageCurve(theta_db, theta_linear, values, stderr))
+        _write_curve_csv(path, CoverageCurve(theta_db, values, stderr))
         expected = "theta_db,theta_linear,p_c,stderr\n"
         for i in range(values.size):
             cells = [theta_db[i], theta_linear[i], values[i]] + ([stderr[i]] if with_stderr else [])
@@ -692,6 +692,18 @@ class TestValidate:
         code = run_cli("validate", "--config", str(tiny_config), "--budget", budget)
         assert code == EXIT_CONFIG
         assert "--budget" in capsys.readouterr().err
+
+    def test_single_trial_rejected_before_sampling(self, tiny_config, capsys, monkeypatch):
+        # the CLT diagnostics need a sample variance, so at least 2 trials
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the trial count")
+
+        monkeypatch.setattr("attocell.cli.empirical_coverage_curves", no_sampling)
+        assert run_cli("validate", "--config", str(tiny_config), "--trials", "1") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: thinning.trials: ")
 
     def test_series_refusal_before_sampling(self, tiny_config, capsys, monkeypatch):
         # the analytic curves of a height come first, so a height whose

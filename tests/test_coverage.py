@@ -149,16 +149,15 @@ class TestCoverageAt:
 
     def test_brute_matches_series(self, optics, geometry):
         for theta_db in (-10.0, -6.55, -3.0):
-            t = float(db_to_linear(theta_db))
-            a = coverage_spatial(optics, geometry, 0.5, t, quad_order=4, sums="series")
-            b = coverage_spatial(optics, geometry, 0.5, t, quad_order=4, sums="brute")
-            assert a == pytest.approx(b, abs=1e-5)
+            a = coverage_curve(optics, geometry, 0.5, [theta_db], quad_order=4, sums="series")
+            b = coverage_curve(optics, geometry, 0.5, [theta_db], quad_order=4, sums="brute")
+            assert a.values[0] == pytest.approx(b.values[0], abs=1e-5)
 
     def test_invalid_arguments(self, optics, geometry):
         with pytest.raises(ValueError):
             coverage_spatial(optics, geometry, 1.5, 0.5)
         with pytest.raises(ValueError):
-            coverage_spatial(optics, geometry, 0.5, 0.5, sums="magic")
+            coverage_curve(optics, geometry, 0.5, [-3.0], sums="magic")
 
 
 class TestQuadrature:
@@ -171,11 +170,10 @@ class TestQuadrature:
                 assert np.all(np.abs(zx) <= half) and np.all(np.abs(zy) <= half)
 
     def test_symmetry_fold_matches_full(self, optics, geometry):
-        theta = float(db_to_linear(-6.55))
         for order in (8, 9, 16):
-            on = coverage_spatial(optics, geometry, 0.5, theta, quad_order=order, use_symmetry=True)
-            off = coverage_spatial(optics, geometry, 0.5, theta, quad_order=order, use_symmetry=False)
-            assert on == pytest.approx(off, abs=1e-12)
+            on = coverage_curve(optics, geometry, 0.5, [-6.55], quad_order=order, use_symmetry=True)
+            off = coverage_curve(optics, geometry, 0.5, [-6.55], quad_order=order, use_symmetry=False)
+            assert on.values[0] == pytest.approx(off.values[0], abs=1e-12)
 
     def test_node_count_reduction(self, geometry):
         full = attocell_quadrature(geometry, 16, use_symmetry=False)[2].size
@@ -186,7 +184,7 @@ class TestQuadrature:
 class TestCoverageSpatial:
     def test_indicator_integral_at_p_zero(self, optics, geometry):
         theta = float(db_to_linear(5.0))
-        got = coverage_spatial(optics, geometry, 0.0, theta, quad_order=16, use_symmetry=False)
+        got = coverage_curve(optics, geometry, 0.0, [5.0], quad_order=16, use_symmetry=False).values[0]
         zx, zy, w = attocell_quadrature(geometry, 16, use_symmetry=False)
         etas = np.array([eta(optics, geometry, (x, y), theta) for x, y in zip(zx, zy)])
         assert got == pytest.approx(float(w @ (etas > 0)), abs=1e-15)
@@ -218,10 +216,14 @@ class TestCoverageCurve:
 
     def test_curve_invariants_enforced(self):
         grid = np.array([0.0, 1.0])
-        with pytest.raises(ValueError):
-            CoverageCurve(grid, db_to_linear(grid), np.array([0.5]))
-        with pytest.raises(ValueError):
-            CoverageCurve(grid, db_to_linear(grid), np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="theta_db and values must have matching shapes"):
+            CoverageCurve(grid, np.array([0.5]))
+        with pytest.raises(ValueError, match=r"coverage values must lie in \[0, 1\]"):
+            CoverageCurve(grid, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="stderr must match the grid shape"):
+            CoverageCurve(grid, np.array([0.5, 0.5]), np.array([0.1]))
+        curve = CoverageCurve(grid, np.array([0.5, 0.5]))
+        assert curve.theta_linear.tobytes() == db_to_linear(grid).tobytes()
 
     def test_threshold_crossing(self, optics, geometry):
         grid = np.arange(-12.0, 0.25, 0.25)

@@ -100,10 +100,6 @@ class TestLatticeSites:
         expected = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
         assert [tuple(s) for s in sites] == expected
 
-    def test_read_only(self):
-        with pytest.raises(ValueError):
-            lattice_sites(2)[0, 0] = 5
-
 
 def _noise_limited_snr(optics, geometry, pos):
     zx, zy = pos

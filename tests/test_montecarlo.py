@@ -13,6 +13,7 @@ from attocell import (
     NetworkGeometry,
     ThinningModel,
     clt_diagnostics,
+    coverage_curve,
     coverage_spatial,
     db_to_linear,
     empirical_coverage_curves,
@@ -283,10 +284,8 @@ class TestSpatial:
         means, stderrs, _ = empirical_coverage_curves(
             optics, small_geometry, (0.0,), theta_db=3.0, seed=5, trials_per_node=10, quad_order=8
         )
-        ref = coverage_spatial(
-            optics, small_geometry, 0.0, float(db_to_linear(3.0)), quad_order=8, use_symmetry=False
-        )
-        assert means[0, 0] == pytest.approx(ref, abs=1e-15)
+        ref = coverage_curve(optics, small_geometry, 0.0, [3.0], quad_order=8, use_symmetry=False)
+        assert means[0, 0] == pytest.approx(ref.values[0], abs=1e-15)
         assert stderrs[0, 0] == 0.0
 
     def test_curves_coupled_monotone_in_p(self, optics, small_geometry):
@@ -430,6 +429,15 @@ class TestCltDiagnostics:
         for p in (0.0, 1.0):
             with pytest.raises(ValueError):
                 clt_diagnostics(ThinningModel(p=p, seed=1), small_geometry, BETA, (0, 0), 10)
+
+    def test_single_trial_rejected_before_sampling(self, small_geometry, monkeypatch):
+        # one sample has no variance: var(ddof=1) would be nan
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the trial count")
+
+        monkeypatch.setattr(attocell.montecarlo, "interference_samples", no_sampling)
+        with pytest.raises(ValueError, match=r"trials must be >= 2"):
+            clt_diagnostics(ThinningModel(p=0.5, seed=1), small_geometry, BETA, (0.0, 0.0), trials=1)
 
     def test_sums_outside_float_range_name_the_height(self):
         # h/a = 2e42: the brute-force S_m that standardizes the samples is 0
