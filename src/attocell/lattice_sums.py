@@ -15,10 +15,15 @@ It is the one place that picks the evaluator:
   (2 trunc + 1)^2 grid, the outer sum of the two squared axes
   (``model._site_bases``; the tagged LED's entry is +inf, so its weight is
   0), then each exponent's weights into a second grid (from a reciprocal,
-  squarings and divisions at an integer exponent).  Each grid row is added
-  by numpy's pairwise sum and the row subtotals by ``math.fsum`` (correctly
-  rounded); the terms span ~13 decades between the nearest and farthest
-  sites.  ``sm_brute`` also attaches an analytic bound on the omitted mass.
+  squarings and divisions at an integer exponent).  An exponent twice the
+  one just before it, when that one is an integer, squares the second grid
+  in place instead: bin(2e) is bin(e) followed by a 0, so that is the
+  weights of 2e bit for bit, for one pass in place of a reciprocal and
+  e's squarings and divisions (``model._site_weights``).  Each grid row is
+  added by numpy's pairwise sum and the row subtotals by ``math.fsum``
+  (correctly rounded); the terms span ~13 decades between the nearest and
+  farthest sites.  ``sm_brute`` also attaches an analytic bound on the
+  omitted mass.
 
 * ``sums="series"`` -- the closed form obtained by Poisson summation over
   the dual lattice, vectorized over the nodes:
@@ -95,8 +100,13 @@ def _brute_values(geometry: NetworkGeometry, exponents: list[float], zx, zy) -> 
     values = np.empty((len(exponents), zx.size))
     for i, (x, y) in enumerate(zip(zx.tolist(), zy.tolist())):
         base = _site_bases(geometry, x, y, out=base)
+        previous = math.nan
         for k, e in enumerate(exponents):
-            weights = _site_weights(base, e, out=weights)
+            if previous.is_integer() and e == 2.0 * previous:
+                np.multiply(weights, weights, out=weights)  # bin(2e) = bin(e) + "0"
+            else:
+                weights = _site_weights(base, e, out=weights)
+            previous = e
             values[k, i] = math.fsum(weights.sum(axis=1).tolist())
     return values
 

@@ -201,7 +201,11 @@ def _site_weights(base: np.ndarray, exponent: float, out=None) -> np.ndarray:
     w = w / base where the digit is 1.  Each step is correctly rounded, and
     the rounding errors add up to less than 3 e * 2^-53 relative wherever
     the result is a normal float.  The weights of one exponent depend on
-    (base, e) alone.  Any other exponent goes through ``np.power``, whose
+    (base, e) alone.  Since bin(2e) is bin(e) followed by a 0, squaring the
+    weights of an integer e gives the weights of 2e bit for bit: the same
+    operations on the same operands.  That needs e itself to be an integer:
+    the square of ``np.power``'s weights at e = 4.5 is not this recipe's
+    weights at 9.  Any other exponent goes through ``np.power``, whose
     last bits depend on the SIMD target.
     """
     e = float(exponent)

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import specfun
 from .coverage import _check_p, _eta_grid, attocell_quadrature, db_to_linear
-from .lattice_sums import sm_brute, sv_brute
+from .lattice_sums import moment_sums, sm_brute, sv_brute
 from .model import (
     NetworkGeometry,
     OpticalConfig,
@@ -256,6 +256,9 @@ def empirical_coverage_curves(
     every uniform draw and all thresholds share every realization, so
     comparisons across the grids are coupled.
     ``trunc`` replaces ``geometry.trunc`` for sampling (None keeps it).
+    A sampled lattice whose weight sums S(beta) or S(2 beta) are 0 or not
+    finite at some node is refused before any draw, by ``moment_sums``'
+    ``ValueError`` naming ``geometry.height``.
     Returns (means, stderrs, tail) where means/stderrs have shape
     (len(p_list), len(theta)) and tail bounds the interference mass omitted
     by the sampling truncation.
@@ -268,6 +271,8 @@ def empirical_coverage_curves(
     sampled = _with_trunc(geometry, trunc)
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry=False)
     etas = _eta_grid(optical, geometry, zx, zy, theta_linear)
+    # only for its refusal of a height (see above); the sums are not used
+    moment_sums(sampled, (optical.beta, 2.0 * optical.beta), zx, zy, "brute")
     node = partial(
         _node_counts, sampled, optical.beta, p_list, trials_per_node, int(seed)
     )
@@ -306,17 +311,18 @@ def clt_diagnostics(
 
     Samples are standardized by the brute-force moments (p S_m,
     sqrt(p (1-p) S_v)) over the same truncated lattice used for sampling,
-    then compared against N(0, 1).  Undefined at p in {0, 1} where C is
-    deterministic, and for fewer than 2 trials.
+    then compared against N(0, 1); the moments come first, so sums outside
+    the float range are refused before any draw.  Undefined at p in {0, 1}
+    where C is deterministic, and for fewer than 2 trials.
     """
     if not 0.0 < model.p < 1.0:
         raise ValueError("clt diagnostics require 0 < p < 1")
     if int(trials) < 2:
         raise ValueError(f"trials must be >= 2 for a sample variance, got {trials!r}")
-    samples = interference_samples(model, geometry, beta, pos, trials)
     sampled = _with_trunc(geometry, model.trunc)
     s_m = sm_brute(sampled, beta, pos).value
     s_v = sv_brute(sampled, beta, pos).value
+    samples = interference_samples(model, geometry, beta, pos, trials)
     mu = model.p * s_m
     sigma1 = math.sqrt(model.p * (1.0 - model.p) * s_v)
     return CltDiagnostics(

@@ -603,6 +603,32 @@ class TestFlags:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("height", ["1e30", "1e42", "1e50", "1e60"])
+    @pytest.mark.parametrize(
+        "method,jobs", [("analytic", "1"), ("brute", "1"), ("montecarlo", "1"), ("montecarlo", "2")]
+    )
+    def test_far_height_refused_by_every_method(
+        self, tiny_config, tmp_path, capsys, monkeypatch, method, height, jobs
+    ):
+        # far above the pitch S(2 beta) (and from 1e42 on S(beta)) underflows
+        # to 0: every method refuses the height by moment_sums' one message,
+        # Monte Carlo before its first draw
+        def no_sampling(*args):
+            raise AssertionError("sampled at a height whose sums leave the float range")
+
+        monkeypatch.setattr("attocell.montecarlo.substream", no_sampling)
+        out = tmp_path / "o"
+        argv = ["--config", str(tiny_config), "--methods", method, "--heights", height, "--jobs", jobs]
+        assert run_cli("sweep", *argv, "--out", str(out)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        sums = "series" if method == "analytic" else "brute"
+        assert captured.err.splitlines() == [
+            f"error: geometry.height = {float(height)!r} puts the {sums} sums S(e) outside the float "
+            f"range (h/a = {float(height) / 0.5:.6g})"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,ini,extra",
         [

@@ -285,11 +285,15 @@ class TestMomentSums:
     @pytest.mark.parametrize("trunc", [15, 200])
     def test_brute_rows_match_ring_oracle(self, optics, trunc):
         # the one-pass kernel against the independent per-call row fsum,
-        # for more exponents than the coverage path asks for
+        # for more exponents than the coverage path asks for.  Forward,
+        # 2 beta, 4 beta and 10 are twice the integer exponent before them,
+        # so their weights are that one's squared; 2 beta + 1 is twice
+        # beta + 0.5, which is not an integer, so it is raised afresh, as is
+        # every exponent of the reversed tuple
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=trunc)
         beta = optics.beta
         zx, zy, _ = attocell_quadrature(geometry, 3)
-        exponents = (beta, 2 * beta, 3 * beta, 4 * beta, beta + 0.5)
+        exponents = (beta, 2 * beta, 4 * beta, 5, 10, beta + 0.5, 2 * beta + 1)
         brute = moment_sums(geometry, exponents, zx, zy, sums="brute")
         for k, e in enumerate(exponents):
             for i, pos in enumerate(zip(zx, zy)):
