@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .coverage import CoverageCurve, coverage_curves
+from .coverage import CoverageCurve, coverage_curves, db_to_linear
 from .lattice_sums import moment_sums, series_mode_terms
 from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, tail_bound
 from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
@@ -231,9 +231,10 @@ class RunConfig:
         "--out", "output directory"))
 
     def validate(self, series: bool = True) -> None:
-        """Check every field; with ``series``, also that the dual-lattice
-        series can be evaluated, which needs Gamma(beta) and Gamma(2 beta)
-        in a double."""
+        """Check every field, and that the first and last thresholds of the
+        grid are finite and > 0 in linear terms; with ``series``, also that
+        the dual-lattice series can be evaluated, which needs Gamma(beta)
+        and Gamma(2 beta) in a double."""
         for f in _FIELDS:
             for check in f.checks:
                 problem = check(f.get(self))
@@ -241,6 +242,12 @@ class RunConfig:
                     raise ConfigError(f"{f.section}.{f.key}: {problem}")
         if self.theta_db_stop < self.theta_db_start:
             raise ConfigError("sweep.theta_db_stop: must be >= theta_db_start")
+        grid = self.theta_db_grid()
+        for key, db in (("theta_db_start", float(grid[0])), ("theta_db_stop", float(grid[-1]))):
+            with np.errstate(over="ignore"):
+                theta = float(db_to_linear(db))
+            if not 0.0 < theta < math.inf:
+                raise ConfigError(f"sweep.{key}: threshold {db!r} dB is {theta!r} linear, must be finite and > 0")
         if series:
             beta = self.optical.beta
             try:

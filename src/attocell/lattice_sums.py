@@ -51,8 +51,9 @@ It is the one place that picks the evaluator:
   low mounting) and brute force is the remedy.
 
 ``moment_sums`` alone refuses a sum that leaves the float range: a value of
-0 or not finite, by either evaluator, or a series term that overflows, is a
-``ValueError`` naming ``geometry.height`` (h far below or above the pitch).
+0 or not finite, by either evaluator, or a series term that overflows or
+divides by an underflowed 0, is a ``ValueError`` naming ``geometry.height``
+(h far below or above the pitch).
 
 ``sm_brute`` / ``sv_brute`` and ``sm_series`` / ``sv_series`` are the
 per-position forms (exponent beta and 2 beta) returning a ``SumResult``.
@@ -197,8 +198,9 @@ def moment_sums(
     exponent alone, not on which others are asked for or in what order.
 
     Either way, a value of 0 or not finite (or a series term that
-    overflows) raises a ``ValueError`` naming ``geometry.height``, and a
-    negative series value one naming the mode window.
+    overflows or divides by an underflowed 0) raises a ``ValueError``
+    naming ``geometry.height``, and a negative series value one naming the
+    mode window.
     """
     exponents = [_check_exponent(e) for e in exponents]
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
@@ -211,8 +213,8 @@ def moment_sums(
         jl = _check_jl(jl)
         try:
             values = np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
-        except OverflowError:
-            values = np.array([[math.inf]])  # a series term left the float range
+        except (OverflowError, ZeroDivisionError):
+            values = np.array([[math.inf]])  # a series term, or a divisor in one, left the float range
     elif sums == "brute":
         values = _brute_values(geometry, exponents, zx, zy)
     else:

@@ -276,9 +276,19 @@ def tail_bound(geometry: NetworkGeometry, exponent: float) -> float:
     receiver inside the attocell, so the omitted sum of (D^2 + h^2)^(-e) is
     bounded by the integral 2 pi r_max^(2-2e) / ((2e - 2) a^2) with
     r_max = a (trunc - 1) (one pitch of slack absorbs both the receiver
-    offset and the cell-vs-site discretization).
+    offset and the cell-vs-site discretization).  A bound that overflows
+    (a pitch far below 1 m) is a ``ValueError`` naming ``geometry.pitch``.
     """
     e = _check_exponent(exponent)
     a = geometry.pitch
     r_max = a * max(geometry.trunc - 1, 0.5)
-    return 2.0 * math.pi * r_max ** (2.0 - 2.0 * e) / ((2.0 * e - 2.0) * a * a)
+    try:
+        bound = 2.0 * math.pi * r_max ** (2.0 - 2.0 * e) / ((2.0 * e - 2.0) * a * a)
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError(
+            f"geometry.pitch = {a!r} puts the tail bound outside the float range at "
+            f"geometry.trunc = {geometry.trunc} (exponent e = {e:.6g})"
+        )
+    return bound

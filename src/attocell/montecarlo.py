@@ -13,8 +13,8 @@ All randomness comes from counter-based Philox streams derived as
 
     stream(seed, *path) = Philox(SeedSequence([seed, *path]))
 
-``interference_samples`` consumes ``stream(seed)`` unless handed a
-generator; ``empirical_coverage_curves`` gives quadrature node ``i`` its own
+``interference_samples`` consumes ``stream(seed)``, and
+``empirical_coverage_curves`` gives quadrature node ``i`` its own
 ``stream(seed, i)``, so node workers can run in any order (or in parallel)
 and still produce bit-identical results.  Within a stream, trials are
 consumed in order, one row of sites after another.  Each (trial, site)
@@ -35,10 +35,13 @@ once to an integer multiple of 2^-k, with k chosen so the integer weights
 sum to at most 2^53.  For n sites the integers are split into float32
 limbs of 24 - bit_length(n) bits each, so every sum of a 0/1 mask against
 one limb stays below 2^24 and is an exact float32 integer; the limb sums
-are recombined in int64 and scaled by 2^-k.  No rounding happens after
-the weights', so the order of summation cannot matter: any BLAS kernel,
-block shape, thread count or FMA gives the same C, equal bit for bit to
-the float64 sum of the fixed-point weights.  The rounding moves C by at
+are recombined in int64 and scaled by 2^-k.  A limb keeps a bit only for
+n < 2^23, so a lattice of n = (2 trunc + 1)^2 - 1 = 4 trunc (trunc + 1)
+sites (two to each 64-bit word) is sampled up to trunc = 1447 rings and
+refused beyond, before any draw.  No rounding happens after the
+weights', so the order of summation cannot matter: any BLAS kernel, block
+shape, thread count or FMA gives the same C, equal bit for bit to the
+float64 sum of the fixed-point weights.  The rounding moves C by at
 most n * 2^-53 * S_m for n sites (to first order), where S_m = sum_i w_i
 over the sampled lattice.  Internally the words are drawn, compared and
 summed a slice of trials at a time, as many as keep the slice's product
@@ -91,8 +94,8 @@ class ThinningModel:
     """Bernoulli thinning: each interferer transmits with probability p.
 
     ``trunc`` replaces the geometry's lattice truncation for sampling
-    (None inherits it), and is checked as ``geometry.trunc`` where it does;
-    the tagged LED is never part of the realization.
+    (None inherits it), checked as ``geometry.trunc`` (1 to 1447 rings)
+    where it does; the tagged LED is never part of the realization.
     """
 
     p: float
@@ -119,6 +122,15 @@ class CltDiagnostics:
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Deterministic Philox stream for (seed, *path); see module docstring."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, path)])))
+
+
+def _sampled_lattice(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeometry:
+    """``geometry`` truncated at ``trunc`` rings for sampling (None keeps its
+    own); past 1447 rings (2^23 sites) a ``ValueError`` naming ``geometry.trunc``."""
+    sampled = _with_trunc(geometry, trunc)
+    if sampled.trunc > 1447:
+        raise ValueError(f"geometry.trunc must be <= 1447 for sampling, got {sampled.trunc!r}")
+    return sampled
 
 
 def _fixed_point_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
@@ -155,18 +167,12 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
     """Yield, for each slice of trials in order, as many as keep the
     slice's product within ``_SMALL_GEMM`` (at least one), C under
     every p in ``p_list`` as one array of shape (len(p_list), rows).  One
-    32-bit Philox word per (trial, site) is drawn once and shared across
-    the p grid, and a site transmits when its word falls below the cut of
-    p; C is summed from the float32 limbs of the fixed-point form of the
-    weights ``w`` (see module docstring).  Raises ``ValueError`` before
-    any draw unless the site count is even and below 2^23 and ``rng`` is a
-    Philox generator with no buffered 32-bit half."""
+    32-bit word per (trial, site) of ``rng``, fresh from ``substream``, is
+    drawn once and shared across the p grid, and a site transmits when its
+    word falls below the cut of p; C is summed from the float32 limbs of
+    the fixed-point weights ``w`` of a ``_sampled_lattice`` (see module
+    docstring)."""
     n = w.size
-    if n % 2 or n >= 2**23:
-        raise ValueError(f"site count must be even and below 2^23, got {n}")
-    state = rng.bit_generator.state
-    if state["bit_generator"] != "Philox" or state["has_uint32"]:
-        raise ValueError("rng must be a Philox generator with no buffered 32-bit half")
     w_int, shift = _fixed_point_weights(w)
     limbs, bits = _limbs(w_int)
     place = bits * np.arange(limbs.shape[1])
@@ -191,25 +197,15 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
 
 
 def interference_samples(
-    model: ThinningModel,
-    geometry: NetworkGeometry,
-    beta: float,
-    pos,
-    trials: int,
-    rng: np.random.Generator | None = None,
+    model: ThinningModel, geometry: NetworkGeometry, beta: float, pos, trials: int
 ) -> np.ndarray:
-    """``trials`` iid realizations of C as a float64 array.
-
-    ``rng`` must be a Philox generator with no buffered 32-bit half (as
-    ``substream`` returns it); anything else raises ``ValueError``.
-    """
+    """``trials`` iid realizations of C as a float64 array, drawn from
+    ``substream(model.seed)``."""
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if rng is None:
-        rng = substream(model.seed)
-    w = interference_weights(_with_trunc(geometry, model.trunc), beta, pos)
-    return np.concatenate([c for c, in _thinned_sums(rng, w, (model.p,), trials)])
+    w = interference_weights(_sampled_lattice(geometry, model.trunc), beta, pos)
+    return np.concatenate([c for c, in _thinned_sums(substream(model.seed), w, (model.p,), trials)])
 
 
 def _node_counts(
@@ -256,9 +252,10 @@ def empirical_coverage_curves(
     every uniform draw and all thresholds share every realization, so
     comparisons across the grids are coupled.
     ``trunc`` replaces ``geometry.trunc`` for sampling (None keeps it).
-    A sampled lattice whose weight sums S(beta) or S(2 beta) are 0 or not
-    finite at some node is refused before any draw, by ``moment_sums``'
-    ``ValueError`` naming ``geometry.height``.
+    Before any draw, a ``ValueError`` refuses a sampled lattice past 1447
+    rings (naming ``geometry.trunc``), or whose tail bound (naming
+    ``geometry.pitch``) or weight sums S(beta) or S(2 beta) at some node
+    (``moment_sums``', naming ``geometry.height``) leave the float range.
     Returns (means, stderrs, tail) where means/stderrs have shape
     (len(p_list), len(theta)) and tail bounds the interference mass omitted
     by the sampling truncation.
@@ -268,7 +265,8 @@ def empirical_coverage_curves(
     trials_per_node = int(trials_per_node)
     if trials_per_node < 1:
         raise ValueError(f"trials_per_node must be >= 1, got {trials_per_node!r}")
-    sampled = _with_trunc(geometry, trunc)
+    sampled = _sampled_lattice(geometry, trunc)
+    tail = tail_bound(sampled, optical.beta)
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry=False)
     etas = _eta_grid(optical, geometry, zx, zy, theta_linear)
     # only for its refusal of a height (see above); the sums are not used
@@ -287,7 +285,7 @@ def empirical_coverage_curves(
     # quadrature weights sum to 1 only up to roundoff, so clip the average
     means = np.clip(np.einsum("i,ipt->pt", wq, phat), 0.0, 1.0)
     var = np.einsum("i,ipt->pt", wq**2, phat * (1.0 - phat)) / float(trials_per_node)
-    return means, np.sqrt(var), tail_bound(sampled, optical.beta)
+    return means, np.sqrt(var), tail
 
 
 def _ks_statistic_normal(standardized: np.ndarray) -> float:
@@ -319,7 +317,7 @@ def clt_diagnostics(
         raise ValueError("clt diagnostics require 0 < p < 1")
     if int(trials) < 2:
         raise ValueError(f"trials must be >= 2 for a sample variance, got {trials!r}")
-    sampled = _with_trunc(geometry, model.trunc)
+    sampled = _sampled_lattice(geometry, model.trunc)
     s_m = sm_brute(sampled, beta, pos).value
     s_v = sv_brute(sampled, beta, pos).value
     samples = interference_samples(model, geometry, beta, pos, trials)

@@ -95,6 +95,9 @@ class TestRunConfig:
             ("heights", (1.5, 1.5)),
             ("p_list", (0.3, 0.3000001)),
             ("methods", ("analytic", "analytic")),
+            # finite in dB, but 10^(dB/10) overflows to inf or underflows to 0
+            ("theta_db_stop", 3100.0),
+            ("theta_db_start", -3300.0),
         ],
     )
     def test_validation_rejects(self, field, value):
@@ -628,6 +631,55 @@ class TestFlags:
         ]
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,edit,flags,error",
+        [
+            # the tail bound of the sampled lattice overflows
+            ("sweep", ("pitch = 0.5", "pitch = 1e-60"), ["--methods", "montecarlo"], "geometry.pitch = 1e-60 "),
+            # the series divides by a ** (e + 1), or at 1e-300 by a * a, both 0
+            ("sweep", ("pitch = 0.5", "pitch = 1e-60"), ["--methods", "analytic"], "geometry.height = 1.5 "),
+            ("sums", ("pitch = 0.5", "pitch = 1e-60"), [], "geometry.height = 1.5 "),
+            ("validate", ("pitch = 0.5", "pitch = 1e-60"), [], "geometry.height = 1.5 "),
+            ("sweep", ("pitch = 0.5", "pitch = 1e-300"), ["--methods", "analytic"], "geometry.height = 1.5 "),
+            # a threshold of inf or 0 in linear terms, before any sum
+            ("sweep", ("-10\ntheta_db_stop = -4", "3100\ntheta_db_stop = 3100"), [], "sweep.theta_db_start: "),
+            ("sweep", ("-10\ntheta_db_stop = -4", "3100\ntheta_db_stop = 3100"), ["--methods", "brute"],
+             "sweep.theta_db_start: "),
+            ("sweep", ("theta_db_stop = -4", "theta_db_stop = 3100"), ["--methods", "montecarlo"],
+             "sweep.theta_db_stop: "),
+            ("validate", ("-10\ntheta_db_stop = -4", "-3300\ntheta_db_stop = -3300"), [], "sweep.theta_db_start: "),
+            # past 1447 rings a float32 limb of the sampled weights keeps no bit
+            ("sweep", ("", ""), ["--methods", "montecarlo", "--mc-trunc", "1448"], "geometry.trunc must be <= 1447 "),
+            ("validate", ("", ""), ["--mc-trunc", "1448"], "geometry.trunc must be <= 1447 "),
+        ],
+        ids=[
+            "montecarlo-pitch", "analytic-pitch", "sums-pitch", "validate-pitch", "analytic-pitch-1e-300",
+            "analytic-theta-3100", "brute-theta-3100", "montecarlo-theta-stop-3100", "validate-theta-3300",
+            "montecarlo-mc-trunc", "validate-mc-trunc",
+        ],
+    )
+    def test_out_of_range_setting_refused_before_output(
+        self, tiny_config, tmp_path, capsys, monkeypatch, command, edit, flags, error
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled with a setting that is refused")
+
+        monkeypatch.setattr("attocell.montecarlo.substream", no_sampling)
+        config = tmp_path / "case.ini"
+        config.write_text(tiny_config.read_text().replace(*edit))
+        out_dir = tmp_path / "o"
+        out = ["--out", str(out_dir)] if command == "sweep" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(command, "--config", str(config), *flags, *out)
+        assert code == EXIT_CONFIG
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out_dir.exists()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {error}")
 
     @pytest.mark.parametrize(
         "command,ini,extra",

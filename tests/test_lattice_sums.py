@@ -259,6 +259,12 @@ class TestSeries:
         tall = NetworkGeometry(pitch=0.5, height=1e30, trunc=20)
         with pytest.raises(ValueError, match=r"geometry\.height = 1e\+30 puts the series sums"):
             moment_sums(tall, (4.0, 8.0), [0.0], [0.0], "series")
+        # h/a = 1.5e60 and 1.5e300: a series term divides by a ** (e + 1), and at
+        # 1e-300 also by a * a, which underflow to 0
+        for pitch in (1e-60, 1e-300):
+            narrow = NetworkGeometry(pitch=pitch, height=1.5, trunc=20)
+            with pytest.raises(ValueError, match=r"geometry\.height = 1\.5 puts the series sums"):
+                moment_sums(narrow, (4.0, 8.0), [0.0], [0.0], "series")
 
     def test_invalid_modes(self, geometry):
         with pytest.raises(ValueError):

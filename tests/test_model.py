@@ -189,6 +189,16 @@ class TestTailBound:
             with pytest.raises(ValueError, match="sum exponent must be finite and > 1"):
                 tail_bound(geometry, exponent)
 
+    @pytest.mark.parametrize("pitch", [1e-60, 1e-300])
+    def test_bound_outside_float_range_names_the_pitch(self, pitch):
+        # r_max^(2 - 2e) overflows; sm_brute attaches the same bound
+        geometry = NetworkGeometry(pitch, 1.5, 40)
+        message = rf"^geometry\.pitch = {pitch!r} puts the tail bound outside the float range at geometry\.trunc = 40 "
+        with pytest.raises(ValueError, match=message):
+            tail_bound(geometry, 4.0)
+        with pytest.raises(ValueError, match=message):
+            sm_brute(geometry, 4.0, (0.0, 0.0))
+
     @pytest.mark.parametrize("trunc", [0, -5, 2.7])
     def test_brute_truncation_checked_as_geometry(self, geometry, trunc):
         # a truncation override is the geometry's own field, with its check

@@ -25,7 +25,14 @@ from attocell import (
 import attocell.montecarlo
 from attocell.coverage import _eta_grid, attocell_quadrature
 from attocell.model import interference_weights
-from attocell.montecarlo import _fixed_point_weights, _limbs, _node_counts, _thinned_sums, substream
+from attocell.montecarlo import (
+    _fixed_point_weights,
+    _limbs,
+    _node_counts,
+    _sampled_lattice,
+    _thinned_sums,
+    substream,
+)
 
 BETA = 4.0
 # float32(1 - 1e-9) == 1, so the last two both give every site
@@ -42,6 +49,12 @@ def _reference_sums(rng, w, p_list, trials, chunk):
         u = rng.random((min(chunk, trials - start), w.size), dtype=np.float32)
         chunks.append([np.ldexp(np.asarray(u < np.float32(p), dtype=float) @ w_int, -shift) for p in p_list])
     return [np.concatenate(c) for c in zip(*chunks)]
+
+
+def _stream_samples(seed, node_index, w, p, trials):
+    """C under p from node ``node_index``'s stream, as
+    ``empirical_coverage_curves`` draws it for that node."""
+    return np.concatenate([c for c, in _thinned_sums(substream(seed, node_index), w, (p,), trials)])
 
 
 def _centre_coverage(optics, geometry, seed, theta_db, trials, p=0.5):
@@ -153,12 +166,15 @@ class TestDraws:
     def test_samples_match_reference(self, small_geometry, chunk, p):
         # 1100 trials: a partial last chunk at either chunk size
         pos = (0.1, -0.05)
-        rng, ref = substream(6, 1), substream(6, 1)
-        got = interference_samples(ThinningModel(p=p, seed=6), small_geometry, BETA, pos, 1100, rng=rng)
+        got = interference_samples(ThinningModel(p=p, seed=6), small_geometry, BETA, pos, 1100)
         w = interference_weights(small_geometry, BETA, pos)
+        ref = substream(6)
         (want,) = _reference_sums(ref, w, (p,), 1100, chunk)
         assert np.array_equal(got, want)
-        # the stream is left where the reference leaves it
+        # the kernel leaves the stream where the reference leaves it
+        rng = substream(6)
+        for _ in _thinned_sums(rng, w, (p,), 1100):
+            pass
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("chunk", [64, 1024])
@@ -184,28 +200,40 @@ class TestDraws:
         (want,) = _reference_sums(substream(6, 1), w, (0.5,), 1100, 64)
         assert np.array_equal(np.concatenate(slices), want)
 
+    # one case per way a sampled lattice is formed: the override of
+    # empirical_coverage_curves and ThinningModel.trunc, which clt_diagnostics
+    # reads both for its brute-force moments and for interference_samples
     @pytest.mark.parametrize(
-        "make",
+        "sample",
         [
-            pytest.param(lambda: substream(5), id="philox-half-word-pending"),
-            pytest.param(lambda: np.random.Generator(np.random.PCG64(5)), id="pcg64"),
+            pytest.param(
+                lambda g: empirical_coverage_curves(
+                    attocell.TABLE_DEFAULT_OPTICS, g, (0.5,), [-6.0], trials_per_node=2, quad_order=1, trunc=1448
+                ),
+                id="empirical_coverage_curves",
+            ),
+            pytest.param(
+                lambda g: interference_samples(ThinningModel(p=0.5, seed=5, trunc=1448), g, BETA, (0.0, 0.0), 2),
+                id="interference_samples",
+            ),
+            pytest.param(
+                lambda g: clt_diagnostics(ThinningModel(p=0.5, seed=5, trunc=1448), g, BETA, (0.0, 0.0), 2),
+                id="clt_diagnostics",
+            ),
         ],
     )
-    def test_generator_checked_before_any_draw(self, small_geometry, make):
-        rng, twin = make(), make()
-        rng.random(dtype=np.float32), twin.random(dtype=np.float32)
-        model = ThinningModel(p=0.5, seed=5)
-        with pytest.raises(ValueError, match="Philox"):
-            interference_samples(model, small_geometry, BETA, (0.0, 0.0), 10, rng=rng)
-        assert np.array_equal(rng.random(4), twin.random(4))
+    def test_sampling_truncation_bounded_before_any_draw(self, small_geometry, monkeypatch, sample):
+        # 1448 rings are (2 * 1448 + 1)^2 - 1 >= 2^23 sites, which would leave
+        # a float32 limb no bits; 1447 rings are fewer
+        assert (2 * 1447 + 1) ** 2 - 1 < 2**23 <= (2 * 1448 + 1) ** 2 - 1
+        assert _sampled_lattice(small_geometry, 1447).trunc == 1447
 
-    @pytest.mark.parametrize("sites", [3, 2**23])
-    def test_site_count_checked_before_any_draw(self, sites):
-        # an odd count splits a 64-bit word; 2^23 sites leave no limb bits
-        rng = substream(5)
-        with pytest.raises(ValueError, match="site count"):
-            next(_thinned_sums(rng, np.broadcast_to(1.0, sites), (0.5,), 10))
-        assert np.array_equal(rng.random(4), substream(5).random(4))
+        def no_draw(*args):
+            raise AssertionError("drew from a lattice past 1447 rings")
+
+        monkeypatch.setattr(attocell.montecarlo, "substream", no_draw)
+        with pytest.raises(ValueError, match=r"^geometry\.trunc must be <= 1447 for sampling, got 1448$"):
+            sample(small_geometry)
 
     def test_independent_of_blas_threads(self, small_geometry):
         # the float32 limb sums are exact, so one BLAS thread gives the
@@ -321,8 +349,8 @@ class TestSpatial:
 
     def test_curves_match_per_node_samples(self, optics, small_geometry):
         # the curves are the quadrature average of per-node counts over the
-        # same draws interference_samples makes from substream(seed, i);
-        # 300 trials end in a partial slice
+        # draws of substream(seed, i), one p at a time; 300 trials end in a
+        # partial slice
         grid = np.arange(-10.0, -2.0, 0.25)
         p_list = (0.3, 0.8)
         means, stderrs, _ = empirical_coverage_curves(
@@ -336,9 +364,9 @@ class TestSpatial:
         etas = _eta_grid(optics, small_geometry, zx, zy, db_to_linear(grid))
         counts = np.zeros((zx.size, len(p_list), grid.size), dtype=np.int64)
         for i in range(zx.size):
+            w = interference_weights(small_geometry, BETA, (zx[i], zy[i]))
             for k, p in enumerate(p_list):
-                model = ThinningModel(p=p, seed=19)
-                c = interference_samples(model, small_geometry, BETA, (zx[i], zy[i]), 300, rng=substream(19, i))
+                c = _stream_samples(19, i, w, p, 300)
                 counts[i, k] = (c[:, None] < etas[:, i]).sum(axis=0)
         assert np.array_equal(means, np.clip(np.einsum("i,ipt->pt", wq, counts / 300.0), 0.0, 1.0))
 
@@ -347,7 +375,7 @@ class TestSpatial:
         # count moves as soon as one row's sum depends on how the trials
         # are sliced; 500 trials end in a partial slice
         g = small_geometry
-        c = interference_samples(ThinningModel(p=0.5, seed=4), g, BETA, (0.1, 0.1), 500, rng=substream(4, 0))
+        c = _stream_samples(4, 0, interference_weights(g, BETA, (0.1, 0.1)), 0.5, 500)
         counts = _node_counts(g, BETA, (0.5,), 500, 4, 0, 0.1, 0.1, c)
         assert np.array_equal(counts[0], (c[:, None] < c[None, :]).sum(axis=0))
 
