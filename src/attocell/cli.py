@@ -259,8 +259,13 @@ class RunConfig:
                 ) from None
 
     def theta_db_grid(self) -> np.ndarray:
-        n = int(math.floor((self.theta_db_stop - self.theta_db_start) / self.theta_db_step + 1e-9)) + 1
-        return self.theta_db_start + self.theta_db_step * np.arange(n)
+        steps = (self.theta_db_stop - self.theta_db_start) / self.theta_db_step + 1e-9
+        if not steps < 2.0**53:  # past 2^53 (or at inf) a float no longer counts by ones
+            raise ConfigError(
+                f"sweep.theta_db_stop: {self.theta_db_stop!r} lies more steps of "
+                f"sweep.theta_db_step = {self.theta_db_step!r} past theta_db_start than a float can count"
+            )
+        return self.theta_db_start + self.theta_db_step * np.arange(int(math.floor(steps)) + 1)
 
     def geometry(self, height: float) -> NetworkGeometry:
         return NetworkGeometry(pitch=self.pitch, height=height, trunc=self.trunc)
@@ -400,12 +405,21 @@ def _write_output(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_curve_csv(path: Path, curve: CoverageCurve) -> None:
+def _row_leads(theta_db: np.ndarray) -> list[str]:
+    """The ``theta_db,theta_linear,`` cells that open each CSV row of a
+    threshold grid, formatted once for every curve on that grid."""
     # .tolist() gives Python floats, so each cell is _fmt(float(x))
+    rows = zip(theta_db.tolist(), db_to_linear(theta_db).tolist())
+    return [f"{t:.17g},{lin:.17g}," for t, lin in rows]
+
+
+def _write_curve_csv(path: Path, leads: list[str], curve: CoverageCurve) -> None:
+    """Write ``curve`` as CSV, its rows opened by ``leads``, the
+    ``_row_leads`` of its own threshold grid."""
     stderr = [""] * curve.values.size if curve.stderr is None else list(map(_fmt, curve.stderr.tolist()))
-    rows = zip(curve.theta_db.tolist(), curve.theta_linear.tolist(), curve.values.tolist(), stderr)
+    rows = zip(leads, curve.values.tolist(), stderr, strict=True)
     lines = ["theta_db,theta_linear,p_c,stderr"]
-    lines += [f"{t:.17g},{lin:.17g},{v:.17g},{e}" for t, lin, v, e in rows]
+    lines += [f"{lead}{v:.17g},{e}" for lead, v, e in rows]
     _write_output(path, "\n".join(lines) + "\n")
 
 
@@ -455,8 +469,9 @@ def run_sweep(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
+    leads = _row_leads(cfg.theta_db_grid())
     for name, curve in curves:
-        _write_curve_csv(out_dir / name, curve)
+        _write_curve_csv(out_dir / name, leads, curve)
         print(f"wrote {name}", file=sys.stderr)
     outputs = [name for name, _ in curves]
     manifest = {

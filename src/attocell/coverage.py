@@ -38,6 +38,7 @@ from .model import (
     OpticalConfig,
     gain_constant,
     position_xy,
+    tail_bound,
 )
 
 __all__ = [
@@ -101,8 +102,11 @@ def conditional_coverage(eta_value, mu, sigma1):
 
     Accepts floats, which give a float, or arrays that broadcast together.
     A lane with sigma1 = 0 is the degenerate (deterministic interference)
-    case and gives the indicator of mu < eta_value.
+    case and gives the indicator of mu < eta_value.  A lane with
+    eta_value <= 0 gives 0 without an erf call: its first erf argument is
+    replaced by one that ``specfun.erf`` saturates to -1.
     """
+    eta_value = np.asarray(eta_value, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sigma1 = np.asarray(sigma1, dtype=float)
     if np.any(sigma1 < 0.0) or np.any(mu < 0.0):
@@ -110,8 +114,11 @@ def conditional_coverage(eta_value, mu, sigma1):
     degenerate = sigma1 == 0.0
     # any positive scale keeps the erf arguments finite in degenerate lanes
     scale = _SQRT2 * np.where(degenerate, 1.0, sigma1)
-    mass = np.clip(0.5 * (specfun.erf((eta_value - mu) / scale) + specfun.erf(mu / scale)), 0.0, 1.0)
-    value = np.where(degenerate, mu < eta_value, mass)
+    # -1 + erf(mu / scale) <= 0 clips to the 0 that the unskipped sum gives;
+    # a NaN eta_value keeps its argument, which specfun.erf refuses
+    upper = np.where(eta_value <= 0.0, -specfun._ERF_SATURATED, (eta_value - mu) / scale)
+    mass = np.clip(0.5 * (specfun.erf(upper) + specfun.erf(mu / scale)), 0.0, 1.0)
+    value = np.where(degenerate, mu < eta_value, mass) if degenerate.any() else mass
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -168,8 +175,12 @@ def attocell_quadrature(
 def _node_sums(geometry: NetworkGeometry, beta: float, zx, zy, sums) -> np.ndarray:
     """S(beta) and S(2 beta) at every node, shape (2, len(zx)): from
     ``moment_sums`` by the named method, which refuses sums outside the float
-    range, or ``sums`` itself when it is such an array of finite values > 0."""
+    range, or ``sums`` itself when it is such an array of finite values > 0.
+    Before brute sums, ``tail_bound`` refuses a pitch whose omitted lattice
+    mass leaves the float range, as Monte Carlo does."""
     if isinstance(sums, str):
+        if sums == "brute":
+            tail_bound(geometry, beta)
         return moment_sums(geometry, (beta, 2.0 * beta), zx, zy, sums)
     values = np.asarray(sums, dtype=float)
     if values.shape != (2, zx.size):

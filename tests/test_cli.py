@@ -20,6 +20,7 @@ from attocell.cli import (
     ConfigError,
     RunConfig,
     _integer,
+    _row_leads,
     _write_curve_csv,
     load_config,
     main,
@@ -336,12 +337,33 @@ class TestSweep:
         values = np.array([1.0, 0.1, 5e-324, 0.0, 1.0 / 3.0])
         stderr = np.array([0.0, 1.0, 0.1, 5e-324, 2.0 / 3.0]) if with_stderr else None
         path = tmp_path / "curve.csv"
-        _write_curve_csv(path, CoverageCurve(theta_db, values, stderr))
+        _write_curve_csv(path, _row_leads(theta_db), CoverageCurve(theta_db, values, stderr))
         expected = "theta_db,theta_linear,p_c,stderr\n"
         for i in range(values.size):
             cells = [theta_db[i], theta_linear[i], values[i]] + ([stderr[i]] if with_stderr else [])
             expected += ",".join(f"{float(x):.17g}" for x in cells) + ("\n" if with_stderr else ",\n")
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_row_leads_shared_by_curves_on_one_grid(self, tmp_path):
+        # the leads formatted once write each curve as per-row formatting does
+        theta_db = -20.0 + 0.05 * np.arange(7)
+        leads = _row_leads(theta_db)
+        n = theta_db.size
+        curves = [
+            CoverageCurve(theta_db, np.linspace(0.9, 0.0, n)),
+            CoverageCurve(theta_db, np.full(n, 1.0 / 3.0), np.geomspace(1e-3, 1e-9, n)),
+        ]
+        for k, curve in enumerate(curves):
+            path = tmp_path / f"curve{k}.csv"
+            _write_curve_csv(path, leads, curve)
+            stderr = [""] * n if curve.stderr is None else [f"{float(e):.17g}" for e in curve.stderr]
+            expected = "theta_db,theta_linear,p_c,stderr\n" + "".join(
+                f"{float(t):.17g},{float(lin):.17g},{float(v):.17g},{e}\n"
+                for t, lin, v, e in zip(theta_db, 10.0 ** (theta_db / 10.0), curve.values, stderr)
+            )
+            assert path.read_bytes() == expected.encode("utf-8")
+        with pytest.raises(ValueError):
+            _write_curve_csv(tmp_path / "short.csv", leads[:-1], curves[0])
 
     def test_byte_identical_reruns(self, tiny_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -637,6 +659,11 @@ class TestFlags:
         [
             # the tail bound of the sampled lattice overflows
             ("sweep", ("pitch = 0.5", "pitch = 1e-60"), ["--methods", "montecarlo"], "geometry.pitch = 1e-60 "),
+            # the brute route refuses the same tail bound before any sum
+            ("sweep", ("pitch = 0.5", "pitch = 1e-60"), ["--methods", "brute"], "geometry.pitch = 1e-60 "),
+            ("sweep", ("pitch = 0.5", "pitch = 1e-60"),
+             ["--methods", "brute", "--heights", "1.5", "--p", "0.5", "--trunc", "20", "--quad-order", "2"],
+             "geometry.pitch = 1e-60 "),
             # the series divides by a ** (e + 1), or at 1e-300 by a * a, both 0
             ("sweep", ("pitch = 0.5", "pitch = 1e-60"), ["--methods", "analytic"], "geometry.height = 1.5 "),
             ("sums", ("pitch = 0.5", "pitch = 1e-60"), [], "geometry.height = 1.5 "),
@@ -649,13 +676,18 @@ class TestFlags:
             ("sweep", ("theta_db_stop = -4", "theta_db_stop = 3100"), ["--methods", "montecarlo"],
              "sweep.theta_db_stop: "),
             ("validate", ("-10\ntheta_db_stop = -4", "-3300\ntheta_db_stop = -3300"), [], "sweep.theta_db_start: "),
+            # a grid of more thresholds than a float counts by ones
+            ("sweep", ("theta_db_stop = -4", "theta_db_stop = 1e308"), [], "sweep.theta_db_stop: 1e+308 "),
+            ("validate", ("theta_db_stop = -4", "theta_db_stop = 1e308"), [], "sweep.theta_db_stop: 1e+308 "),
+            ("sweep", ("theta_db_step = 2", "theta_db_step = 1e-300"), [], "sweep.theta_db_stop: -4.0 "),
             # past 1447 rings a float32 limb of the sampled weights keeps no bit
             ("sweep", ("", ""), ["--methods", "montecarlo", "--mc-trunc", "1448"], "geometry.trunc must be <= 1447 "),
             ("validate", ("", ""), ["--mc-trunc", "1448"], "geometry.trunc must be <= 1447 "),
         ],
         ids=[
-            "montecarlo-pitch", "analytic-pitch", "sums-pitch", "validate-pitch", "analytic-pitch-1e-300",
+            "montecarlo-pitch", "brute-pitch", "brute-pitch-trunc-20", "analytic-pitch", "sums-pitch", "validate-pitch", "analytic-pitch-1e-300",
             "analytic-theta-3100", "brute-theta-3100", "montecarlo-theta-stop-3100", "validate-theta-3300",
+            "sweep-theta-stop-1e308", "validate-theta-stop-1e308", "sweep-theta-step-1e-300",
             "montecarlo-mc-trunc", "validate-mc-trunc",
         ],
     )

@@ -102,6 +102,41 @@ class TestConditionalCoverage:
         with pytest.raises(ValueError):
             conditional_coverage(np.array([0.1, 0.2]), np.array([0.1, -0.1]), np.array([0.05, 0.05]))
 
+    def test_no_erf_call_where_eta_is_not_positive(self, monkeypatch):
+        # eta < 0, = 0 and > 0 against p = 0 and p = 1 (degenerate) and
+        # Gaussian lanes, the last with both erf arguments past 6 off eta = 0.4
+        eta_value = np.array([-1.0, -1e-300, -0.0, 0.0, 5e-324, 0.05, 0.4, 0.4001, 2.0])[:, None]
+        p = np.array([0.0, 0.3, 0.8, 1.0, 1.0 - 1e-6])
+        mu = 0.4 * p
+        sigma1 = np.sqrt(p * (1.0 - p) * 0.02)
+
+        def unskipped(e, m, s):
+            # the Gaussian mass as written, with every lane through erf
+            degenerate = s == 0.0
+            scale = math.sqrt(2.0) * np.where(degenerate, 1.0, s)
+            mass = np.clip(0.5 * (erf((e - m) / scale) + erf(m / scale)), 0.0, 1.0)
+            return np.where(degenerate, m < e, mass), (e - m) / scale, m / scale
+
+        want, upper, lower = unskipped(eta_value, mu, sigma1)
+        upper = np.broadcast_to(upper, want.shape)
+        calls = []
+        real_erf = math.erf
+        monkeypatch.setattr(math, "erf", lambda x: calls.append(x) or real_erf(x))
+
+        got = conditional_coverage(eta_value, mu, sigma1)
+        assert got.tobytes() == want.tobytes()
+        assert not got[eta_value[:, 0] <= 0.0].any()
+        called = (eta_value > 0.0) & (np.abs(upper) < 6.0)
+        assert 0 < called.sum() < called.size
+        assert sorted(calls) == sorted(upper[called].tolist() + lower[np.abs(lower) < 6.0].tolist())
+
+        for (i, j), value in np.ndenumerate(want):
+            calls.clear()
+            scalar = conditional_coverage(float(eta_value[i, 0]), float(mu[j]), float(sigma1[j]))
+            assert isinstance(scalar, float) and scalar == value
+            # a float argument, here mu / scale, always reaches math.erf
+            assert len(calls) == int(called[i, j]) + 1
+
     def test_unit_interval_fuzz(self, rng):
         # million-triple fuzz on arrays plus a scalar subset, which must
         # agree with the array values
