@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .coverage import CoverageCurve, coverage_curves, db_to_linear
 from .lattice_sums import moment_sums, series_mode_terms
-from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, tail_bound
+from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, position_xy, tail_bound
 from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
 from .specfun import gamma
 
@@ -320,7 +320,8 @@ def _sections_from_ini(path: Path) -> dict:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+        detail = " ".join(line.strip() for line in str(exc).splitlines())  # one error: line
+        raise ConfigError(f"cannot parse config file {path}: {detail}") from None
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
@@ -493,6 +494,7 @@ def run_sums(cfg: RunConfig, pos: tuple[float, float], jl: tuple[int, int], heig
     """Print the sums report, built in full first: a sum that fails prints
     nothing to stdout."""
     cfg.validate()
+    pos = position_xy(pos)
     h = cfg.heights[0] if height is None else height
     geometry = cfg.geometry(h)
     beta = cfg.optical.beta

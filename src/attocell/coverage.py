@@ -33,13 +33,7 @@ import numpy as np
 
 from . import specfun
 from .lattice_sums import moment_sums
-from .model import (
-    NetworkGeometry,
-    OpticalConfig,
-    gain_constant,
-    position_xy,
-    tail_bound,
-)
+from .model import NetworkGeometry, OpticalConfig, _check_integer, gain_constant, position_xy
 
 __all__ = [
     "CoverageCurve",
@@ -70,15 +64,26 @@ def _eta_grid(
 ) -> np.ndarray:
     """eta at every (threshold, node) pair, shape (len(theta_linear),
     len(zx)): the signal over theta, less the noise floor.  The noise floor
-    is computed first, so a height whose K^2 leaves the float range is
-    refused before the signal is formed."""
+    is computed first, so a height whose K^2 leaves the float range, or an
+    optical power or responsivity that takes K^2 P_o^2 R_pd^2 out of it, is
+    refused, naming the field, before the signal is formed."""
     theta = np.atleast_1d(np.asarray(theta_linear, dtype=float))
     bad = theta[~(np.isfinite(theta) & (theta > 0.0))]
     if bad.size:
         raise ValueError(f"theta must be finite and > 0, got {float(bad[0])!r}")
-    noise = optical.noise_psd * optical.bandwidth / (
-        gain_constant(optical, geometry) ** 2 * optical.power**2 * optical.responsivity**2
-    )
+    scale = gain_constant(optical, geometry) ** 2
+    for name in ("power", "responsivity"):
+        v = getattr(optical, name)
+        try:
+            scale = scale * v**2
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(
+                f"optical.{name} = {v!r} puts the noise floor's divisor K^2 P_o^2 R_pd^2 outside "
+                f"the float range at geometry.height = {geometry.height!r}"
+            )
+    noise = optical.noise_psd * optical.bandwidth / scale
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
     zy = np.atleast_1d(np.asarray(zy, dtype=float))
     signal = (zx * zx + zy * zy + geometry.height**2) ** (-optical.beta)
@@ -150,9 +155,7 @@ def attocell_quadrature(
     cutting the node count roughly 8x without changing the sum beyond
     roundoff.
     """
-    order = int(order)
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order!r}")
+    order = _check_integer(order, "quadrature order", 1)
     x, w = _legendre(order)
     x = 0.5 * geometry.pitch * x
     w = 0.5 * w  # per-axis weights now sum to 1
@@ -175,12 +178,9 @@ def attocell_quadrature(
 def _node_sums(geometry: NetworkGeometry, beta: float, zx, zy, sums) -> np.ndarray:
     """S(beta) and S(2 beta) at every node, shape (2, len(zx)): from
     ``moment_sums`` by the named method, which refuses sums outside the float
-    range, or ``sums`` itself when it is such an array of finite values > 0.
-    Before brute sums, ``tail_bound`` refuses a pitch whose omitted lattice
-    mass leaves the float range, as Monte Carlo does."""
+    range and brute windows whose tail bound overflows, or ``sums`` itself
+    when it is such an array of finite values > 0."""
     if isinstance(sums, str):
-        if sums == "brute":
-            tail_bound(geometry, beta)
         return moment_sums(geometry, (beta, 2.0 * beta), zx, zy, sums)
     values = np.asarray(sums, dtype=float)
     if values.shape != (2, zx.size):
@@ -306,7 +306,5 @@ def threshold_at_level(curve: CoverageCurve, level: float) -> float | None:
     if i == 0:
         return float(curve.theta_db[0])
     x0, x1 = curve.theta_db[i - 1], curve.theta_db[i]
-    y0, y1 = v[i - 1], v[i]
-    if y0 == y1:
-        return float(x1)
+    y0, y1 = v[i - 1], v[i]  # y0 >= level > y1: never a flat step
     return float(x0 + (y0 - level) * (x1 - x0) / (y0 - y1))

@@ -22,8 +22,10 @@ It is the one place that picks the evaluator:
   e's squarings and divisions (``model._site_weights``).  Each grid row is
   added by numpy's pairwise sum and the row subtotals by ``math.fsum``
   (correctly rounded); the terms span ~13 decades between the nearest and
-  farthest sites.  ``sm_brute`` also attaches an analytic bound on the
-  omitted mass.
+  farthest sites.  Before any sum, ``model.tail_bound`` at every exponent
+  refuses a window whose bound on the omitted mass overflows, naming
+  ``geometry.pitch``: the one truncation gate of every brute or sampled
+  lattice.
 
 * ``sums="series"`` -- the closed form obtained by Poisson summation over
   the dual lattice, vectorized over the nodes:
@@ -87,11 +89,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SumResult:
-    """Value of one moment sum; tail_bound bounds the mass omitted outside
-    the truncation window of a brute-force sum (None for the series)."""
+    """Value of one moment sum (``model.tail_bound`` bounds the mass a
+    brute-force sum omits)."""
 
     value: float
-    tail_bound: float | None = None
 
 
 def _brute_values(geometry: NetworkGeometry, exponents: list[float], zx, zy) -> np.ndarray:
@@ -115,12 +116,10 @@ def _brute_values(geometry: NetworkGeometry, exponents: list[float], zx, zy) -> 
 def sm_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None) -> SumResult:
     """Mean sum S_m by direct summation over the lattice truncated at
     ``geometry.trunc``, or at ``trunc`` rings when given (``moment_sums`` at
-    one position), with the bound on the mass outside it."""
-    e = _check_exponent(beta)
+    one position)."""
     zx, zy = position_xy(pos)
     geometry = _with_trunc(geometry, trunc)
-    value = float(moment_sums(geometry, (e,), zx, zy, "brute")[0, 0])
-    return SumResult(value, tail_bound(geometry, e))
+    return SumResult(float(moment_sums(geometry, (beta,), zx, zy, "brute")[0, 0]))
 
 
 def sv_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = None) -> SumResult:
@@ -197,10 +196,12 @@ def moment_sums(
     ``np.power`` (``model._site_weights``).  Each row depends on its own
     exponent alone, not on which others are asked for or in what order.
 
-    Either way, a value of 0 or not finite (or a series term that
-    overflows or divides by an underflowed 0) raises a ``ValueError``
-    naming ``geometry.height``, and a negative series value one naming the
-    mode window.
+    Before it sums, the brute branch refuses a window whose
+    ``model.tail_bound`` overflows at any of the exponents, with a
+    ``ValueError`` naming ``geometry.pitch``.  Either way, a value of 0 or
+    not finite (or a series term that overflows or divides by an
+    underflowed 0) raises a ``ValueError`` naming ``geometry.height``, and a
+    negative series value one naming the mode window.
     """
     exponents = [_check_exponent(e) for e in exponents]
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
@@ -209,6 +210,11 @@ def moment_sums(
         raise ValueError(
             f"node coordinates must be 1-D and of equal length, got {zx.shape} and {zy.shape}"
         )
+    with np.errstate(over="ignore"):
+        far = np.flatnonzero(~(np.isfinite(zx * zx) & np.isfinite(zy * zy)))
+    if far.size:
+        x, y = float(zx[far[0]]), float(zy[far[0]])
+        raise ValueError(f"position ({x!r}, {y!r}): each coordinate and its square must be finite")
     if sums == "series":
         jl = _check_jl(jl)
         try:
@@ -216,6 +222,8 @@ def moment_sums(
         except (OverflowError, ZeroDivisionError):
             values = np.array([[math.inf]])  # a series term, or a divisor in one, left the float range
     elif sums == "brute":
+        for e in exponents:
+            tail_bound(geometry, e)  # the truncation gate (see module docstring)
         values = _brute_values(geometry, exponents, zx, zy)
     else:
         raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")

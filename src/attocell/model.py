@@ -49,12 +49,18 @@ def lambertian_order(half_angle: float) -> float:
     """Lambertian emission order m = -ln 2 / ln cos(half_angle).
 
     ``half_angle`` is the half-power semi-angle in radians and must lie in
-    the open interval (0, pi/2); m is then strictly positive.
+    the open interval (0, pi/2), with a cosine below 1.0 in a double (above
+    about 1.05e-8 rad); m is then strictly positive and finite.
     """
     half_angle = float(half_angle)
     if not (0.0 < half_angle < math.pi / 2):
         raise ValueError(
             f"half-power semi-angle must be in (0, pi/2) rad, got {half_angle!r}"
+        )
+    if math.cos(half_angle) == 1.0:  # ln cos would be 0
+        raise ValueError(
+            f"half-power semi-angle {half_angle!r} rad has a cosine of 1.0 in a double, "
+            f"so an infinite Lambertian order; it must exceed about 1.05e-8 rad"
         )
     return -math.log(2.0) / math.log(math.cos(half_angle))
 
@@ -83,10 +89,10 @@ class OpticalConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"optical.{name} must be finite and > 0, got {v!r}")
-        if not (0.0 < self.half_angle < math.pi / 2):
-            raise ValueError(
-                f"optical.half_angle must be in (0, pi/2) rad, got {self.half_angle!r}"
-            )
+        try:
+            lambertian_order(self.half_angle)
+        except ValueError as exc:
+            raise ValueError(f"optical.half_angle: {exc}") from None
 
     @property
     def beta(self) -> float:
@@ -108,8 +114,19 @@ class NetworkGeometry:
             raise ValueError(f"geometry.pitch must be > 0, got {self.pitch!r}")
         if not (math.isfinite(self.height) and self.height > 0):
             raise ValueError(f"geometry.height must be > 0, got {self.height!r}")
-        if int(self.trunc) != self.trunc or self.trunc < 1:
-            raise ValueError(f"geometry.trunc must be an integer >= 1, got {self.trunc!r}")
+        _check_integer(self.trunc, "geometry.trunc", 1)
+
+
+def _check_integer(value, name: str, least: int) -> int:
+    """``value`` as an int when it is an integer >= ``least``; anything else,
+    a fraction, NaN or infinity included, is a ``ValueError`` naming ``name``."""
+    try:
+        ok = int(value) == value and value >= least
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _with_trunc(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeometry:
@@ -120,9 +137,13 @@ def _with_trunc(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeometry
 
 def position_xy(pos) -> tuple[float, float]:
     """The PD location on the floor plane, metres from the tagged LED's axis,
-    from any (x, y) pair."""
+    from any (x, y) pair; a ``ValueError`` naming the position when a
+    coordinate or its square is not finite."""
     x, y = pos
-    return float(x), float(y)
+    x, y = float(x), float(y)
+    if not (math.isfinite(x * x) and math.isfinite(y * y)):
+        raise ValueError(f"position ({x!r}, {y!r}): each coordinate and its square must be finite")
+    return x, y
 
 
 def gain_constant(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
@@ -161,9 +182,7 @@ def lattice_sites(trunc: int) -> np.ndarray:
     order (u slow, v fast).  This ordering is the contract for every
     thinning realization: ``alphas[i]`` refers to ``lattice_sites(trunc)[i]``.
     """
-    trunc = int(trunc)
-    if trunc < 1:
-        raise ValueError(f"trunc must be >= 1, got {trunc!r}")
+    trunc = _check_integer(trunc, "trunc", 1)
     axis = np.arange(-trunc, trunc + 1, dtype=np.int64)
     u, v = np.meshgrid(axis, axis, indexing="ij")
     return np.delete(np.column_stack([u.ravel(), v.ravel()]), u.size // 2, axis=0)
@@ -277,7 +296,9 @@ def tail_bound(geometry: NetworkGeometry, exponent: float) -> float:
     bounded by the integral 2 pi r_max^(2-2e) / ((2e - 2) a^2) with
     r_max = a (trunc - 1) (one pitch of slack absorbs both the receiver
     offset and the cell-vs-site discretization).  A bound that overflows
-    (a pitch far below 1 m) is a ``ValueError`` naming ``geometry.pitch``.
+    (a pitch far below 1 m) is a ``ValueError`` naming ``geometry.pitch``;
+    the brute branch of ``lattice_sums.moment_sums`` calls this at every
+    exponent before it sums, which gates every brute or sampled window.
     """
     e = _check_exponent(exponent)
     a = geometry.pitch

@@ -67,8 +67,10 @@ from .lattice_sums import moment_sums, sm_brute, sv_brute
 from .model import (
     NetworkGeometry,
     OpticalConfig,
+    _check_integer,
     _with_trunc,
     interference_weights,
+    position_xy,
     tail_bound,
 )
 
@@ -104,8 +106,7 @@ class ThinningModel:
 
     def __post_init__(self):
         _check_p(self.p)
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -200,11 +201,14 @@ def interference_samples(
     model: ThinningModel, geometry: NetworkGeometry, beta: float, pos, trials: int
 ) -> np.ndarray:
     """``trials`` iid realizations of C as a float64 array, drawn from
-    ``substream(model.seed)``."""
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    w = interference_weights(_sampled_lattice(geometry, model.trunc), beta, pos)
+    ``substream(model.seed)``.  Before any draw, the sampled lattice's
+    brute-force S(beta) and S(2 beta) at ``pos`` refuse it as
+    ``empirical_coverage_curves`` refuses its nodes' lattices."""
+    trials = _check_integer(trials, "trials", 1)
+    sampled = _sampled_lattice(geometry, model.trunc)
+    zx, zy = position_xy(pos)
+    moment_sums(sampled, (beta, 2.0 * beta), zx, zy, "brute")  # for its refusals only
+    w = interference_weights(sampled, beta, (zx, zy))
     return np.concatenate([c for c, in _thinned_sums(substream(model.seed), w, (model.p,), trials)])
 
 
@@ -252,30 +256,30 @@ def empirical_coverage_curves(
     every uniform draw and all thresholds share every realization, so
     comparisons across the grids are coupled.
     ``trunc`` replaces ``geometry.trunc`` for sampling (None keeps it).
-    Before any draw, a ``ValueError`` refuses a sampled lattice past 1447
-    rings (naming ``geometry.trunc``), or whose tail bound (naming
-    ``geometry.pitch``) or weight sums S(beta) or S(2 beta) at some node
-    (``moment_sums``', naming ``geometry.height``) leave the float range.
+    Before any draw, a ``ValueError`` refuses a seed, trial count or worker
+    count that is not an integer in range, naming the argument; a sampled
+    lattice past 1447 rings (naming ``geometry.trunc``); and the sampled
+    lattice's brute-force S(beta) and S(2 beta) at every node, by
+    ``moment_sums``' refusals (a tail bound that overflows names
+    ``geometry.pitch``, a sum outside the float range ``geometry.height``).
     Returns (means, stderrs, tail) where means/stderrs have shape
-    (len(p_list), len(theta)) and tail bounds the interference mass omitted
-    by the sampling truncation.
+    (len(p_list), len(theta)) and tail is ``model.tail_bound`` of the
+    sampled lattice at beta, which bounds the interference mass omitted by
+    the sampling truncation.
     """
     theta_linear = db_to_linear(np.atleast_1d(theta_db))
     p_list = tuple(_check_p(p) for p in p_list)
-    trials_per_node = int(trials_per_node)
-    if trials_per_node < 1:
-        raise ValueError(f"trials_per_node must be >= 1, got {trials_per_node!r}")
+    seed = _check_integer(seed, "seed", 0)
+    trials_per_node = _check_integer(trials_per_node, "trials_per_node", 1)
+    n_jobs = _check_integer(n_jobs, "n_jobs", 1)
     sampled = _sampled_lattice(geometry, trunc)
-    tail = tail_bound(sampled, optical.beta)
     zx, zy, wq = attocell_quadrature(geometry, quad_order, use_symmetry=False)
     etas = _eta_grid(optical, geometry, zx, zy, theta_linear)
-    # only for its refusal of a height (see above); the sums are not used
+    # for its refusals only (see above); the sums are not used
     moment_sums(sampled, (optical.beta, 2.0 * optical.beta), zx, zy, "brute")
-    node = partial(
-        _node_counts, sampled, optical.beta, p_list, trials_per_node, int(seed)
-    )
+    node = partial(_node_counts, sampled, optical.beta, p_list, trials_per_node, seed)
     columns = (range(zx.size), zx.tolist(), zy.tolist(), list(etas.T))
-    workers = min(int(n_jobs), zx.size, os.cpu_count() or 1)
+    workers = min(n_jobs, zx.size, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(node, *columns, chunksize=1))
@@ -285,7 +289,7 @@ def empirical_coverage_curves(
     # quadrature weights sum to 1 only up to roundoff, so clip the average
     means = np.clip(np.einsum("i,ipt->pt", wq, phat), 0.0, 1.0)
     var = np.einsum("i,ipt->pt", wq**2, phat * (1.0 - phat)) / float(trials_per_node)
-    return means, np.sqrt(var), tail
+    return means, np.sqrt(var), tail_bound(sampled, optical.beta)
 
 
 def _ks_statistic_normal(standardized: np.ndarray) -> float:

@@ -136,6 +136,34 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="geometry.pitch"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "name,text,error",
+        [
+            # the [optical] values replace the OpticalConfig at once, which checks them
+            ("bad.ini", "[optical]\npower = -1\n", "optical.power must be finite and > 0, got -1.0"),
+            ("bad.ini", "[sweep]\ntheta_db_start = 5\ntheta_db_stop = 4\n",
+             "sweep.theta_db_stop: must be >= theta_db_start"),
+            # configparser's own message spans three lines
+            ("bad.ini", "[geometry\npitch = 0.5\n",
+             "cannot parse config file {path}: File contains no section headers. file: '{path}', line: 1 "
+             "'[geometry\\n'"),
+            ("bad.json", '{"geometry": {"pitch": 0.5,}}', "cannot parse config file {path}: Expecting property name"),
+            ("bad.json", '{"geometry": [0.5]}', "config section [geometry] must hold key = value pairs"),
+            ("bad.json", '{"geometry": {"trunc": 2.5}}', "geometry.trunc: expected an integer, got 2.5"),
+        ],
+        ids=["ini-power", "ini-theta-stop-below-start", "ini-no-section-header", "json-malformed",
+             "json-section-not-object", "json-fractional-trunc"],
+    )
+    def test_bad_file_is_one_error_line(self, tmp_path, capsys, name, text, error):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", str(path), "--out", str(out)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: " + error.format(path=path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "nope.ini"))
@@ -666,7 +694,8 @@ class TestFlags:
              "geometry.pitch = 1e-60 "),
             # the series divides by a ** (e + 1), or at 1e-300 by a * a, both 0
             ("sweep", ("pitch = 0.5", "pitch = 1e-60"), ["--methods", "analytic"], "geometry.height = 1.5 "),
-            ("sums", ("pitch = 0.5", "pitch = 1e-60"), [], "geometry.height = 1.5 "),
+            # sums computes its brute column first, whose tail bound overflows
+            ("sums", ("pitch = 0.5", "pitch = 1e-60"), [], "geometry.pitch = 1e-60 "),
             ("validate", ("pitch = 0.5", "pitch = 1e-60"), [], "geometry.height = 1.5 "),
             ("sweep", ("pitch = 0.5", "pitch = 1e-300"), ["--methods", "analytic"], "geometry.height = 1.5 "),
             # a threshold of inf or 0 in linear terms, before any sum
@@ -683,12 +712,40 @@ class TestFlags:
             # past 1447 rings a float32 limb of the sampled weights keeps no bit
             ("sweep", ("", ""), ["--methods", "montecarlo", "--mc-trunc", "1448"], "geometry.trunc must be <= 1447 "),
             ("validate", ("", ""), ["--mc-trunc", "1448"], "geometry.trunc must be <= 1447 "),
+            # the tail bound is finite at S(beta) and overflows at S(2 beta):
+            # these wrote p_c = 0 at every threshold and exited 0
+            ("sweep", ("pitch = 0.5", "pitch = 1e-30"),
+             ["--methods", "brute", "--heights", "1.5", "--p", "0.5", "--trunc", "20", "--quad-order", "2"],
+             "geometry.pitch = 1e-30 puts the tail bound outside the float range at geometry.trunc = 20 "
+             "(exponent e = 8)"),
+            ("sweep", ("pitch = 0.5", "pitch = 1e-30"),
+             ["--methods", "montecarlo", "--heights", "1.5", "--p", "0.5", "--mc-trunc", "10", "--mc-quad-order", "2",
+              "--trials", "50"],
+             "geometry.pitch = 1e-30 puts the tail bound outside the float range at geometry.trunc = 10 "
+             "(exponent e = 8)"),
+            # cos(1e-9) is 1.0 in a double: an infinite Lambertian order
+            ("sweep", ("[geometry]", "[optical]\nhalf_angle = 1e-9\n[geometry]"), [], "optical.half_angle: "),
+            ("sums", ("[geometry]", "[optical]\nhalf_angle = 1e-9\n[geometry]"), [], "optical.half_angle: "),
+            ("validate", ("[geometry]", "[optical]\nhalf_angle = 1e-9\n[geometry]"), [], "optical.half_angle: "),
+            # P_o^2 or R_pd^2 overflows, or underflows to 0, in the noise floor
+            ("sweep", ("[geometry]", "[optical]\npower = 1e160\n[geometry]"), [], "optical.power = 1e+160 "),
+            ("validate", ("[geometry]", "[optical]\npower = 1e160\n[geometry]"), [], "optical.power = 1e+160 "),
+            ("sweep", ("[geometry]", "[optical]\nresponsivity = 1e200\n[geometry]"), ["--methods", "brute"],
+             "optical.responsivity = 1e+200 "),
+            ("sweep", ("[geometry]", "[optical]\npower = 1e-200\n[geometry]"), ["--methods", "montecarlo"],
+             "optical.power = 1e-200 "),
+            ("validate", ("[geometry]", "[optical]\nresponsivity = 1e-200\n[geometry]"), [],
+             "optical.responsivity = 1e-200 "),
         ],
         ids=[
             "montecarlo-pitch", "brute-pitch", "brute-pitch-trunc-20", "analytic-pitch", "sums-pitch", "validate-pitch", "analytic-pitch-1e-300",
             "analytic-theta-3100", "brute-theta-3100", "montecarlo-theta-stop-3100", "validate-theta-3300",
             "sweep-theta-stop-1e308", "validate-theta-stop-1e308", "sweep-theta-step-1e-300",
             "montecarlo-mc-trunc", "validate-mc-trunc",
+            "brute-pitch-1e-30", "montecarlo-pitch-1e-30",
+            "sweep-half-angle-1e-9", "sums-half-angle-1e-9", "validate-half-angle-1e-9",
+            "sweep-power-1e160", "validate-power-1e160", "brute-responsivity-1e200", "montecarlo-power-1e-200",
+            "validate-responsivity-1e-200",
         ],
     )
     def test_out_of_range_setting_refused_before_output(
@@ -775,6 +832,23 @@ class TestSums:
         assert run_cli("sums", "--config", str(tiny_config), "--pos", pos) == EXIT_CONFIG
         assert "--pos" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,raw,error",
+        [
+            ("--pos", "a,b", "error: --pos: expected numbers, got 'a,b'"),
+            ("--jl", "1,-1", "error: --jl: modes must be >= 0, got '1,-1'"),
+            # its square overflows: this printed a numpy RuntimeWarning, the
+            # outside-the-attocell warning and an error blaming the height
+            ("--pos", "1e200,0", "error: position (1e+200, 0.0): each coordinate and its square must be finite"),
+        ],
+    )
+    def test_bad_pair_is_one_error_line(self, tiny_config, capsys, flag, raw, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("sums", "--config", str(tiny_config), flag, raw) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [error]
+
     def test_report_numbers_are_the_per_position_sums(self, tiny_config, capsys):
         # every printed S_m and S_v digit, and each tail bound, as the
         # per-position sums give them
@@ -784,12 +858,13 @@ class TestSums:
         rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines() if line}
         geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=60)
         beta = TABLE_DEFAULT_OPTICS.beta
-        for label, brute_fn, series_fn in (("S_m", sm_brute, sm_series), ("S_v", sv_brute, sv_series)):
+        sums = (("S_m", sm_brute, sm_series, beta), ("S_v", sv_brute, sv_series, 2.0 * beta))
+        for label, brute_fn, series_fn, exponent in sums:
             brute = brute_fn(geometry, beta, pos)
             series = series_fn(geometry, beta, pos, jl=jl)
             _, b, s, _, tail = rows[label]
             assert b == f"{brute.value:.17g}" and s == f"{series.value:.17g}"
-            assert tail == f"{brute.tail_bound:.2e}"
+            assert tail == f"{tail_bound(geometry, exponent):.2e}"
 
 
 class TestValidate:

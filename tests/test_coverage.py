@@ -1,6 +1,8 @@
 """Threshold transform, conditional coverage and spatial averaging."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +63,19 @@ class TestEta:
 
     def test_large_theta_is_noise_negative(self, optics, geometry):
         assert eta(optics, geometry, (0.0, 0.0), 1e9) < 0.0
+
+    @pytest.mark.parametrize(
+        "field,value", [("power", 1e160), ("responsivity", 1e200), ("power", 1e-200), ("responsivity", 1e-200)]
+    )
+    def test_noise_floor_outside_float_range_names_the_field(self, optics, geometry, field, value):
+        # P_o^2 or R_pd^2 overflowed (OverflowError) or underflowed to 0
+        # (ZeroDivisionError) in the noise floor's divisor K^2 P_o^2 R_pd^2
+        bad = dataclasses.replace(optics, **{field: value})
+        message = rf"^optical\.{field} = {re.escape(repr(value))} puts the noise floor's divisor"
+        with pytest.raises(ValueError, match=message):
+            eta(bad, geometry, (0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match=message):
+            coverage_curve(bad, geometry, 0.5, [-6.0], quad_order=2)
 
     def test_invalid_theta(self, optics, geometry):
         for bad in (0.0, -1.0, float("nan")):
@@ -215,6 +230,16 @@ class TestQuadrature:
         folded = attocell_quadrature(geometry, 16, use_symmetry=True)[2].size
         assert full == 256 and folded == 36
 
+    @pytest.mark.parametrize("order", [0, -2, 2.7, math.nan])
+    def test_order_must_be_a_positive_integer(self, optics, geometry, order):
+        # 2.7 ran at order 2
+        message = rf"^quadrature order must be an integer >= 1, got {order!r}$"
+        for use_symmetry in (False, True):
+            with pytest.raises(ValueError, match=message):
+                attocell_quadrature(geometry, order, use_symmetry)
+        with pytest.raises(ValueError, match=message):
+            coverage_curve(optics, geometry, 0.5, [-6.0], quad_order=order)
+
 
 class TestCoverageSpatial:
     def test_indicator_integral_at_p_zero(self, optics, geometry):
@@ -272,6 +297,18 @@ class TestCoverageCurve:
         grid = np.array([-30.0, -29.0])
         curve = coverage_curve(optics, geometry, 0.5, grid, quad_order=8)
         assert threshold_at_level(curve, 0.5) is None
+
+    def test_threshold_crossing_at_first_point_and_on_flat_segment(self):
+        grid = np.array([-3.0, -2.0, -1.0, 0.0])
+        # already below the level at the first threshold: that threshold
+        assert threshold_at_level(CoverageCurve(grid, np.array([0.4, 0.3, 0.2, 0.1])), 0.5) == -3.0
+        assert threshold_at_level(CoverageCurve(grid, np.full(4, 0.6)), 0.7) == -3.0
+        # a flat segment at the level: the curve leaves it at its last point
+        flat = CoverageCurve(grid, np.array([0.9, 0.5, 0.5, 0.1]))
+        assert threshold_at_level(flat, 0.5) == -1.0
+        # a flat segment above it: the interpolation starts from its end
+        step = CoverageCurve(grid, np.array([0.8, 0.8, 0.4, 0.4]))
+        assert threshold_at_level(step, 0.6) == -1.5
 
     def test_brute_curve_close_to_series(self, optics):
         geometry = NetworkGeometry(0.5, 1.5, 150)

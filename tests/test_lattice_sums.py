@@ -1,7 +1,9 @@
 """Brute-force and closed-form moment sums against each other."""
 
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from attocell import (
     sv_brute,
     sv_series,
 )
-from attocell.lattice_sums import series_mode_terms
-from attocell.model import interference_weights, lattice_sites
+import attocell.lattice_sums
+from attocell.lattice_sums import SumResult, series_mode_terms
+from attocell.model import interference_weights, lattice_sites, tail_bound
 
 # row-wise fsum at the reference config, pinned by the
 # independent row-major summation below agreeing to 1e-13
@@ -67,7 +70,7 @@ class TestBruteForce:
         other = row_major_sum(geometry, 4.0, (0.0, 0.0), geometry.trunc)
         assert mine.value == pytest.approx(SM_REFERENCE, rel=1e-13)
         assert mine.value == pytest.approx(other, rel=1e-13)
-        assert mine.tail_bound > 0.0
+        assert tail_bound(geometry, 4.0) > 0.0
 
     def test_sv_corner_reference(self, geometry):
         mine = sv_brute(geometry, 4.0, (0.25, 0.25))
@@ -136,8 +139,6 @@ class TestBruteForce:
 
 class TestSeries:
     def test_default_modes(self, geometry):
-        s = sm_series(geometry, 4.0, (0.0, 0.0))
-        assert s.tail_bound is None
         rows = series_mode_terms(geometry, 4.0, (0.0, 0.0))
         modes = [r["term"] for r in rows if r["term"].startswith("mode")]
         assert modes == ["mode(0,1)", "mode(1,0)", "mode(1,1)"]
@@ -336,6 +337,52 @@ class TestMomentSums:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * sites * 8
+
+    def test_brute_window_gated_by_tail_bound_at_every_exponent(self, monkeypatch):
+        # pitch 1e-30, 20 rings: the bound is finite (2.2e232) at e = 4 and
+        # overflows at e = 8, so any brute call that asks for S(8) is refused
+        # before it sums, whatever the order of its exponents
+        narrow = NetworkGeometry(pitch=1e-30, height=1.5, trunc=20)
+        assert math.isfinite(tail_bound(narrow, 4.0))
+        assert moment_sums(narrow, (4.0,), [0.0], [0.0], "brute")[0, 0] > 0.0
+        assert sm_brute(narrow, 4.0, (0.0, 0.0)).value > 0.0
+
+        def no_sum(*args):
+            raise AssertionError("summed a window whose tail bound overflows")
+
+        monkeypatch.setattr(attocell.lattice_sums, "_brute_values", no_sum)
+        message = (
+            r"^geometry\.pitch = 1e-30 puts the tail bound outside the float range at "
+            r"geometry\.trunc = 20 \(exponent e = 8\)$"
+        )
+        for exponents in ((4.0, 8.0), (8.0, 4.0), (8.0,)):
+            with pytest.raises(ValueError, match=message):
+                moment_sums(narrow, exponents, [0.0], [0.0], "brute")
+        with pytest.raises(ValueError, match=message):
+            sv_brute(narrow, 4.0, (0.0, 0.0))
+
+    def test_sum_result_holds_the_value_alone(self, geometry):
+        # the bound on the omitted mass is model.tail_bound's to give
+        assert [f.name for f in dataclasses.fields(SumResult)] == ["value"]
+        value = moment_sums(geometry, (4.0,), [0.0], [0.0], "brute")[0, 0]
+        assert sm_brute(geometry, 4.0, (0.0, 0.0)) == SumResult(float(value))
+
+    @pytest.mark.parametrize(
+        "pos", [(math.nan, 0.0), (0.0, -math.inf), (1e200, 0.0), (0.1, -1e155)]
+    )
+    def test_position_outside_float_range_refused(self, pos):
+        # a coordinate whose square overflows gave a series value of 0.3677 at
+        # (1e200, 0) and a brute error that blamed the height
+        geometry = NetworkGeometry(0.5, 1.5, 20)
+        message = r"^position \(.+\): each coordinate and its square must be finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for per_position in (sm_brute, sv_brute, sm_series, sv_series):
+                with pytest.raises(ValueError, match=message):
+                    per_position(geometry, 4.0, pos)
+            for sums in ("series", "brute"):
+                with pytest.raises(ValueError, match=message):
+                    moment_sums(geometry, (4.0,), [0.0, pos[0]], [0.0, pos[1]], sums)
 
     def test_node_arrays_must_match(self, geometry):
         # brute force would zip the nodes short and the series broadcast them

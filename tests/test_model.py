@@ -1,5 +1,6 @@
 """Geometry, configuration and pointwise channel/SINR quantities."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -51,6 +52,21 @@ class TestLambertianOrder:
         with pytest.raises(ValueError):
             lambertian_order(bad)
 
+    @pytest.mark.parametrize("half_angle", [1e-9, 1.05e-8])
+    def test_cosine_of_one_refused(self, half_angle):
+        # cos rounds to 1.0 there, so ln cos is 0: this divided by zero
+        assert math.cos(half_angle) == 1.0
+        with pytest.raises(ValueError, match=r"has a cosine of 1\.0 in a double"):
+            lambertian_order(half_angle)
+        good = dataclasses.asdict(TABLE_DEFAULT_OPTICS)
+        with pytest.raises(ValueError, match=rf"^optical\.half_angle: half-power semi-angle {half_angle!r} rad"):
+            OpticalConfig(**{**good, "half_angle": half_angle})
+
+    def test_narrowest_representable_beam_constructible(self):
+        # at 1.1e-8 rad the cosine is one ulp below 1.0: m is finite
+        optics = dataclasses.replace(TABLE_DEFAULT_OPTICS, half_angle=1.1e-8)
+        assert math.isfinite(optics.beta) and optics.beta > 1e15
+
 
 class TestConfigs:
     def test_optical_rejects_nonpositive(self):
@@ -70,9 +86,10 @@ class TestConfigs:
         with pytest.raises(ValueError):
             NetworkGeometry(pitch=0.5, height=1.5, trunc=0)
 
-    @pytest.mark.parametrize("height", [1e-300, 1e150])
+    @pytest.mark.parametrize("height", [1e-300, 1e150, 1e200])
     def test_gain_constant_out_of_range(self, optics, height):
-        # K^2 underflows to 0 or overflows: no eta grid can be formed
+        # K^2 underflows to 0 or overflows (at 1e200 already h^(m+1) does,
+        # as an OverflowError): no eta grid can be formed
         with pytest.raises(ValueError, match=r"geometry\.height"):
             gain_constant(optics, NetworkGeometry(pitch=0.5, height=height))
 
@@ -99,6 +116,25 @@ class TestLatticeSites:
         sites = lattice_sites(1)
         expected = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
         assert [tuple(s) for s in sites] == expected
+
+    @pytest.mark.parametrize("trunc", [0, -1, 2.5, math.nan, math.inf])
+    def test_truncation_must_be_a_positive_integer(self, trunc):
+        with pytest.raises(ValueError, match=rf"^trunc must be an integer >= 1, got {trunc!r}$"):
+            lattice_sites(trunc)
+        with pytest.raises(ValueError, match=rf"^geometry\.trunc must be an integer >= 1, got {trunc!r}$"):
+            NetworkGeometry(0.5, 1.5, trunc)
+
+
+class TestPosition:
+    @pytest.mark.parametrize("pos", [(math.nan, 0.0), (0.0, math.inf), (1e200, 0.0), (0.0, -2e154)])
+    def test_outside_float_range_names_the_position(self, optics, geometry, pos):
+        message = r"^position \(.+\): each coordinate and its square must be finite$"
+        with pytest.raises(ValueError, match=message):
+            interference_weights(geometry, 4.0, pos)
+        with pytest.raises(ValueError, match=message):
+            eta(optics, geometry, pos, 1.0)
+        with pytest.raises(ValueError, match=message):
+            sinr(optics, geometry, pos, np.zeros(lattice_sites(geometry.trunc).shape[0]))
 
 
 def _noise_limited_snr(optics, geometry, pos):
@@ -177,8 +213,9 @@ class TestTailBound:
         beta = TABLE_DEFAULT_OPTICS.beta
         near = sm_brute(geometry, beta, (0.2, 0.1), trunc=60)
         far = sm_brute(geometry, beta, (0.2, 0.1), trunc=200)
-        assert far.value - near.value <= near.tail_bound
-        assert near.tail_bound < 1e-6 * near.value
+        bound = tail_bound(replace(geometry, trunc=60), beta)
+        assert far.value - near.value <= bound
+        assert bound < 1e-6 * near.value
 
     def test_decreasing_in_trunc(self, geometry):
         bounds = [tail_bound(replace(geometry, trunc=t), 4.0) for t in (50, 100, 200)]
@@ -191,7 +228,7 @@ class TestTailBound:
 
     @pytest.mark.parametrize("pitch", [1e-60, 1e-300])
     def test_bound_outside_float_range_names_the_pitch(self, pitch):
-        # r_max^(2 - 2e) overflows; sm_brute attaches the same bound
+        # r_max^(2 - 2e) overflows; moment_sums' brute branch, and so sm_brute, refuses it
         geometry = NetworkGeometry(pitch, 1.5, 40)
         message = rf"^geometry\.pitch = {pitch!r} puts the tail bound outside the float range at geometry\.trunc = 40 "
         with pytest.raises(ValueError, match=message):

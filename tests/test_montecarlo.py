@@ -74,6 +74,11 @@ class TestThinningModel:
         with pytest.raises(ValueError):
             ThinningModel(p=0.5, seed=-3)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+            ThinningModel(p=0.5, seed=seed)
+
 
 class TestSubstreams:
     def test_deterministic_and_distinct(self):
@@ -135,6 +140,46 @@ class TestSampling:
         model = ThinningModel(p=0.5, seed=1)
         with pytest.raises(ValueError, match="sum exponent must be finite and > 1"):
             interference_samples(model, small_geometry, beta, (0.0, 0.0), 4)
+
+    @pytest.mark.parametrize(
+        "geometry,field",
+        [
+            # the tail bound of 10 rings at pitch 1e-60 overflows: this sampled
+            # interference of about 8.6 from a lattice 20 pitches wide
+            (NetworkGeometry(pitch=1e-60, height=1.5), r"geometry\.pitch = 1e-60 "),
+            # S(2 beta) underflows to 0: this returned samples of about 2.2e-238
+            (NetworkGeometry(pitch=0.5, height=1e30), r"geometry\.height = 1e\+30 "),
+        ],
+    )
+    def test_refuses_what_its_siblings_refuse_before_any_draw(self, monkeypatch, geometry, field):
+        def no_draw(*args):
+            raise AssertionError("drew from a lattice that moment_sums refuses")
+
+        monkeypatch.setattr(attocell.montecarlo, "substream", no_draw)
+        model = ThinningModel(p=0.5, seed=1, trunc=10)
+        with pytest.raises(ValueError, match="^" + field):
+            interference_samples(model, geometry, BETA, (0.0, 0.0), 10)
+        with pytest.raises(ValueError, match="^" + field):
+            clt_diagnostics(model, geometry, BETA, (0.0, 0.0), 10)
+
+    @pytest.mark.parametrize("trials", [0, -4, 2.5])
+    def test_trials_must_be_a_positive_integer(self, small_geometry, trials):
+        model = ThinningModel(p=0.5, seed=1)
+        with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1, got {trials!r}$"):
+            interference_samples(model, small_geometry, BETA, (0.0, 0.0), trials)
+
+    def test_fixed_point_shift_retried_when_rounding_passes_two_to_the_53(self):
+        # the float sum is 1 - 2^-53, so the first shift is 53; rint moves
+        # each of the 16 weights up by 0.375 units of 2^-53, so the integers
+        # sum to 2^53 - 1 + 6 = 2^53 + 5, and the shift drops to 52
+        w = np.full(16, (2**49 + 0.625) * 2.0**-53)
+        w[-1] = (2**49 - 10.375) * 2.0**-53
+        assert 53 - math.frexp(float(w.sum()))[1] == 53
+        assert int(np.rint(np.ldexp(w, 53)).astype(np.int64).sum()) == 2**53 + 5
+        w_int, shift = _fixed_point_weights(w)
+        assert shift == 52
+        assert np.array_equal(w_int, np.rint(np.ldexp(w, 52)))
+        assert int(w_int.astype(np.int64).sum()) <= 2**53
 
     def test_fixed_point_error_within_bound(self, small_geometry):
         # C against the correctly rounded sum of the same sites' float weights;
@@ -395,6 +440,27 @@ class TestSpatial:
         assert 0.0 <= means[0, 0] <= 1.0 and stderrs[0, 0] > 0.0
         zx, _, _ = attocell_quadrature(small_geometry, 4, use_symmetry=False)
         assert zx.size == 16
+
+    @pytest.mark.parametrize(
+        "argument,value,least",
+        [
+            ("seed", 1.5, 0),  # sampled as seed 1
+            ("seed", -1, 0),  # numpy's unnamed "expected non-negative integer"
+            ("trials_per_node", 0, 1),
+            ("trials_per_node", 2.5, 1),
+            ("n_jobs", 0, 1),  # ran serially
+            ("n_jobs", 1.5, 1),
+        ],
+    )
+    def test_integer_arguments_refused_before_any_draw(self, optics, small_geometry, monkeypatch, argument, value, least):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(attocell.montecarlo, "substream", no_draw)
+        kwargs = dict(theta_db=[-6.0], seed=1, trials_per_node=10, quad_order=2, n_jobs=1)
+        kwargs[argument] = value
+        with pytest.raises(ValueError, match=rf"^{argument} must be an integer >= {least}, got {value!r}$"):
+            empirical_coverage_curves(optics, small_geometry, (0.5,), **kwargs)
 
     def test_theta_argument_validation(self, optics, small_geometry):
         with pytest.raises(ValueError):
