@@ -33,7 +33,7 @@ import numpy as np
 
 from . import specfun
 from .lattice_sums import moment_sums
-from .model import NetworkGeometry, OpticalConfig, _check_integer, gain_constant, position_xy
+from .model import NetworkGeometry, OpticalConfig, _check_integer, _noise_divisor, position_xy
 
 __all__ = [
     "CoverageCurve",
@@ -71,19 +71,7 @@ def _eta_grid(
     bad = theta[~(np.isfinite(theta) & (theta > 0.0))]
     if bad.size:
         raise ValueError(f"theta must be finite and > 0, got {float(bad[0])!r}")
-    scale = gain_constant(optical, geometry) ** 2
-    for name in ("power", "responsivity"):
-        v = getattr(optical, name)
-        try:
-            scale = scale * v**2
-        except OverflowError:
-            scale = math.inf
-        if not 0.0 < scale < math.inf:
-            raise ValueError(
-                f"optical.{name} = {v!r} puts the noise floor's divisor K^2 P_o^2 R_pd^2 outside "
-                f"the float range at geometry.height = {geometry.height!r}"
-            )
-    noise = optical.noise_psd * optical.bandwidth / scale
+    noise = optical.noise_psd * optical.bandwidth / _noise_divisor(optical, geometry)
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
     zy = np.atleast_1d(np.asarray(zy, dtype=float))
     signal = (zx * zx + zy * zy + geometry.height**2) ** (-optical.beta)

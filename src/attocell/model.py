@@ -162,6 +162,26 @@ def gain_constant(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
     return k
 
 
+def _noise_divisor(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
+    """K^2 P_o^2 R_pd^2, formed one factor at a time in that order; a
+    ``ValueError`` naming ``optical.power`` or ``optical.responsivity`` when
+    its factor takes the product outside the float range (K^2 is
+    ``gain_constant``'s to refuse)."""
+    scale = gain_constant(optical, geometry) ** 2
+    for name in ("power", "responsivity"):
+        v = getattr(optical, name)
+        try:
+            scale = scale * v**2
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(
+                f"optical.{name} = {v!r} puts the noise floor's divisor K^2 P_o^2 R_pd^2 outside "
+                f"the float range at geometry.height = {geometry.height!r}"
+            )
+    return scale
+
+
 # Table of optics used by the shipped default configuration (see cli):
 # 1 W LEDs, 1 cm^2 PD, 0.1 A/W, 60 degree half-angle (m = 1), thermal-noise
 # PSD 4.14e-21 A^2/Hz over 40 MHz.
@@ -268,7 +288,9 @@ def sinr(
 
     ``alphas`` assigns 0/1 to every site of ``lattice_sites(geometry.trunc)``
     in that exact order.  The tagged LED at the origin always transmits; the
-    realization only controls the interferers.
+    realization only controls the interferers.  An optical power or
+    responsivity that ``coverage`` refuses for the noise floor is refused
+    here too, by the same check.
     """
     alphas = np.asarray(alphas)
     n_sites = (2 * geometry.trunc + 1) ** 2 - 1
@@ -277,6 +299,7 @@ def sinr(
             f"alphas must have shape ({n_sites},) matching lattice_sites({geometry.trunc})"
         )
     zx, zy = position_xy(pos)
+    _noise_divisor(optical, geometry)  # for its refusals only
     h = geometry.height
     beta = optical.beta
     pr2 = (optical.power * optical.responsivity) ** 2

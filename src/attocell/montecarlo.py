@@ -47,15 +47,19 @@ over the sampled lattice.  Internally the words are drawn, compared and
 summed a slice of trials at a time, as many as keep the slice's product
 within OpenBLAS's small-matrix sgemm (see ``_SMALL_GEMM``), which also
 keeps the words and the mask in cache and bounds memory in the trial
-count.  Slicing only groups the words, in the same order, so it changes
-no result.
+count.  While a slice is compared and summed, one helper thread draws
+the next slice's words, one draw in flight at a time and nothing past
+the last slice, so the words are the same, in the same order, and the
+stream ends where a serial loop leaves it; the helper is joined before
+the loop returns or raises.  Slicing and the helper only group and time
+the words, so they change no word and no result.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -182,19 +186,32 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
     slice_rows = max(1, min(trials, _SMALL_GEMM // (n * limbs.shape[1])))
     mask = np.empty((slice_rows, n), dtype=np.float32)
     sums = np.empty((len(cuts), slice_rows, limbs.shape[1]), dtype=np.float32)
-    for i in range(0, trials, slice_rows):
-        rows = min(slice_rows, trials - i)
-        # little-endian: the low half of each 64-bit word comes first
-        raw = rng.bit_generator.random_raw(rows * n // 2)
-        r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)
-        m = mask[:rows]
-        for k, cut in enumerate(cuts):
-            if cut < 2**32:
-                np.less(r, cut, out=m)
-            else:  # float32(p) == 1: every word is below the cut
-                m.fill(1.0)
-            np.matmul(m, limbs, out=sums[k, :rows])
-        yield np.ldexp((sums[:, :rows].astype(np.int64) << place).sum(axis=2).astype(float), -shift)
+    draw = rng.bit_generator.random_raw
+    # one FIFO helper draws slice i + 1 while slice i is counted; random_raw,
+    # np.less and the sgemm release the GIL.  Leaving the with block joins it
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, slice_rows * n // 2)
+        try:
+            for i in range(0, trials, slice_rows):
+                rows = min(slice_rows, trials - i)
+                raw = pending.result()
+                if i + rows < trials:
+                    pending = helper.submit(draw, min(slice_rows, trials - i - rows) * n // 2)
+                # little-endian: the low half of each 64-bit word comes first
+                r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)
+                m = mask[:rows]
+                for k, cut in enumerate(cuts):
+                    if cut < 2**32:
+                        np.less(r, cut, out=m)
+                    else:  # float32(p) == 1: every word is below the cut
+                        m.fill(1.0)
+                    np.matmul(m, limbs, out=sums[k, :rows])
+                yield np.ldexp((sums[:, :rows].astype(np.int64) << place).sum(axis=2).astype(float), -shift)
+        finally:
+            # a consumer that stops early, or raises, leaves the next slice's
+            # draw in flight: cancel it, or wait for it and drop its words
+            if not pending.cancel():
+                pending.exception()
 
 
 def interference_samples(

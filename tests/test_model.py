@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -206,6 +207,26 @@ class TestSinr:
     def test_wrong_shape_raises(self, optics):
         with pytest.raises(ValueError):
             sinr(optics, self.geometry, (0.0, 0.0), np.zeros(5))
+
+    # (power * responsivity) ** 2 overflows at either value
+    @pytest.mark.parametrize("field,value", [("power", 1e160), ("responsivity", 1e200)])
+    def test_out_of_range_factor_names_the_field(self, optics, field, value):
+        message = rf"^optical\.{field} = {re.escape(repr(value))} puts the noise floor's divisor K\^2 P_o\^2 R_pd\^2"
+        with pytest.raises(ValueError, match=message):
+            sinr(replace(optics, **{field: value}), self.geometry, (0.0, 0.0), np.zeros(self.n_sites))
+
+    def test_in_range_values_unchanged_by_the_check(self, optics):
+        # sinr's formula written out: the check adds no term to it
+        rng = np.random.default_rng(3)
+        pos = (0.13, -0.07)
+        weights = interference_weights(self.geometry, optics.beta, pos)
+        pr2 = (optics.power * optics.responsivity) ** 2
+        k2 = gain_constant(optics, self.geometry) ** 2
+        signal = pr2 * k2 * (pos[0] ** 2 + pos[1] ** 2 + self.geometry.height**2) ** (-optics.beta)
+        for _ in range(10):
+            alphas = (rng.random(self.n_sites) < 0.5).astype(float)
+            want = signal / (pr2 * k2 * float(np.dot(alphas, weights)) + optics.noise_psd * optics.bandwidth)
+            assert sinr(optics, self.geometry, pos, alphas) == want
 
 
 class TestTailBound:

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +297,92 @@ class TestDraws:
         child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
         here = interference_samples(ThinningModel(p=0.5, seed=12), small_geometry, BETA, (0.1, 0.2), 1100)
         assert np.array_equal(np.frombuffer(child.stdout, dtype=np.float64), here)
+
+
+def _threads_back_to(baseline, timeout=5.0):
+    """Whether ``threading.active_count()`` is back to ``baseline`` within
+    ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > baseline:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestOverlappedDraws:
+    """One helper thread draws the next slice while the current one is
+    counted: the same words in the same order, and no thread left behind."""
+
+    @pytest.fixture
+    def seven_row_slices(self, small_geometry, monkeypatch):
+        """Weights at one position, with ``_SMALL_GEMM`` cut so that slices
+        hold 7 trials: 1100 trials are 158 slices."""
+        w = interference_weights(small_geometry, BETA, (0.1, -0.05))
+        limb_count = _limbs(_fixed_point_weights(w)[0])[0].shape[1]
+        monkeypatch.setattr(attocell.montecarlo, "_SMALL_GEMM", 7 * w.size * limb_count + 1)
+        return w
+
+    def test_closed_after_first_slice(self, seven_row_slices):
+        w = seven_row_slices
+        baseline = threading.active_count()
+        sums = _thinned_sums(substream(6, 1), w, (0.5,), 1100)
+        (first,) = next(sums)
+        # the helper is drawing, or has drawn, the second slice
+        assert threading.active_count() == baseline + 1
+        sums.close()
+        assert _threads_back_to(baseline)
+        (want,) = _reference_sums(substream(6, 1), w, (0.5,), 7, 7)
+        assert np.array_equal(first, want)
+
+    def test_draw_error_comes_out_of_the_generator(self, seven_row_slices):
+        class SecondDrawFails:
+            """A stream whose second ``random_raw`` call raises."""
+
+            def __init__(self, rng):
+                self.bit_generator = self
+                self.draw = rng.bit_generator.random_raw
+                self.calls = 0
+
+            def random_raw(self, size):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("second draw failed")
+                return self.draw(size)
+
+        baseline = threading.active_count()
+        got = []
+        with pytest.raises(RuntimeError, match="^second draw failed$"):
+            for c in _thinned_sums(SecondDrawFails(substream(6, 1)), seven_row_slices, (0.5,), 1100):
+                got.append(c)
+        assert len(got) == 1
+        assert _threads_back_to(baseline)
+
+    def test_many_slices_under_frequent_switches_match_reference(self, seven_row_slices):
+        w = seven_row_slices
+        baseline = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rng = substream(9, 2)
+            slices = list(_thinned_sums(rng, w, P_GRID, 1100))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(slices) == 158
+        ref = substream(9, 2)
+        want = _reference_sums(ref, w, P_GRID, 1100, 64)
+        for k, c in enumerate(want):
+            assert np.array_equal(np.concatenate([s[k] for s in slices]), c)
+        # nothing was drawn past the last slice
+        assert rng.random() == ref.random()
+        assert _threads_back_to(baseline)
+
+    def test_no_helper_alive_after_curves(self, optics, small_geometry):
+        # a helper alive at return could be forked into the next call's
+        # worker processes
+        before = set(threading.enumerate())
+        empirical_coverage_curves(optics, small_geometry, (0.3, 0.8), [-6.0, 0.0], trials_per_node=300, quad_order=2)
+        assert set(threading.enumerate()) == before
 
 
 class TestMoments:
