@@ -33,7 +33,7 @@ import numpy as np
 
 from . import specfun
 from .lattice_sums import moment_sums
-from .model import NetworkGeometry, OpticalConfig, _check_integer, _noise_divisor, position_xy
+from .model import NetworkGeometry, OpticalConfig, _check_integer, _noise_floor, position_xy
 
 __all__ = [
     "CoverageCurve",
@@ -71,7 +71,7 @@ def _eta_grid(
     bad = theta[~(np.isfinite(theta) & (theta > 0.0))]
     if bad.size:
         raise ValueError(f"theta must be finite and > 0, got {float(bad[0])!r}")
-    noise = optical.noise_psd * optical.bandwidth / _noise_divisor(optical, geometry)
+    noise = _noise_floor(optical, geometry)
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
     zy = np.atleast_1d(np.asarray(zy, dtype=float))
     signal = (zx * zx + zy * zy + geometry.height**2) ** (-optical.beta)
@@ -152,12 +152,9 @@ def attocell_quadrature(
         return zx.ravel(), zy.ravel(), np.outer(w, w).ravel()
     # fold +-x pairs (leggauss nodes are symmetric and ascending)
     mid = order // 2
-    if order % 2 == 0:
-        hx = x[mid:]
-        hw = 2.0 * w[mid:]
-    else:
-        hx = x[mid:]
-        hw = np.concatenate([[w[mid]], 2.0 * w[mid + 1 :]])
+    hx, hw = x[mid:], 2.0 * w[mid:]
+    if order % 2:
+        hw[0] = w[mid]  # the centre node has no mirror
     # fold the swap symmetry onto the triangle i >= j, in row-major order
     i, j = np.tril_indices(hx.size)
     return hx[i], hx[j], np.where(i == j, 1.0, 2.0) * hw[i] * hw[j]

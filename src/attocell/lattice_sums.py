@@ -72,8 +72,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkGeometry, _check_exponent, _site_bases, _site_weights, _with_trunc
-from .model import position_xy, tail_bound
+from .model import NetworkGeometry, _check_exponent, _check_integer, _site_bases, _site_weights
+from .model import _with_trunc, position_xy, tail_bound
 from .specfun import bessel_k, gamma
 
 __all__ = [
@@ -167,10 +167,7 @@ def _series_value(geometry: NetworkGeometry, exponent: float, zx, zy, jl: tuple[
 
 
 def _check_jl(jl) -> tuple[int, int]:
-    j, l = int(jl[0]), int(jl[1])
-    if j < 0 or l < 0:
-        raise ValueError(f"mode truncation must be >= (0, 0), got {jl!r}")
-    return j, l
+    return _check_integer(jl[0], "mode truncation j", 0), _check_integer(jl[1], "mode truncation l", 0)
 
 
 def moment_sums(
@@ -210,11 +207,8 @@ def moment_sums(
         raise ValueError(
             f"node coordinates must be 1-D and of equal length, got {zx.shape} and {zy.shape}"
         )
-    with np.errstate(over="ignore"):
-        far = np.flatnonzero(~(np.isfinite(zx * zx) & np.isfinite(zy * zy)))
-    if far.size:
-        x, y = float(zx[far[0]]), float(zy[far[0]])
-        raise ValueError(f"position ({x!r}, {y!r}): each coordinate and its square must be finite")
+    for node in zip(zx.tolist(), zy.tolist()):
+        position_xy(node)
     if sums == "series":
         jl = _check_jl(jl)
         try:

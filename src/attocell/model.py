@@ -23,6 +23,10 @@ The line-of-sight electrical quantities implemented below:
 * receiver noise         ``sigma^2 = N_o W``
 * electrical SINR        ``P_o^2 G_0^2 R_pd^2 /
   (sum_i alpha_i P_o^2 G_i^2 R_pd^2 + sigma^2)``
+
+``sinr`` evaluates the SINR divided through by K^2 P_o^2 R_pd^2: the signal
+(z^2 + h^2)^(-beta) over the interference C plus the noise floor
+sigma^2 / (K^2 P_o^2 R_pd^2), the form ``coverage.eta`` comes from.
 """
 
 from __future__ import annotations
@@ -162,11 +166,12 @@ def gain_constant(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
     return k
 
 
-def _noise_divisor(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
-    """K^2 P_o^2 R_pd^2, formed one factor at a time in that order; a
-    ``ValueError`` naming ``optical.power`` or ``optical.responsivity`` when
-    its factor takes the product outside the float range (K^2 is
-    ``gain_constant``'s to refuse)."""
+def _noise_floor(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
+    """The noise floor sigma^2 / (K^2 P_o^2 R_pd^2) that eta subtracts, its
+    divisor formed one factor at a time in that order; a ``ValueError``
+    naming ``optical.power`` or ``optical.responsivity`` when its factor
+    takes the divisor outside the float range (K^2 is ``gain_constant``'s
+    to refuse)."""
     scale = gain_constant(optical, geometry) ** 2
     for name in ("power", "responsivity"):
         v = getattr(optical, name)
@@ -179,7 +184,7 @@ def _noise_divisor(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
                 f"optical.{name} = {v!r} puts the noise floor's divisor K^2 P_o^2 R_pd^2 outside "
                 f"the float range at geometry.height = {geometry.height!r}"
             )
-    return scale
+    return optical.noise_psd * optical.bandwidth / scale
 
 
 # Table of optics used by the shipped default configuration (see cli):
@@ -288,9 +293,11 @@ def sinr(
 
     ``alphas`` assigns 0/1 to every site of ``lattice_sites(geometry.trunc)``
     in that exact order.  The tagged LED at the origin always transmits; the
-    realization only controls the interferers.  An optical power or
-    responsivity that ``coverage`` refuses for the noise floor is refused
-    here too, by the same check.
+    realization only controls the interferers.  The SINR is evaluated
+    divided through by K^2 P_o^2 R_pd^2, over ``coverage.eta``'s noise
+    floor, so it refuses what ``coverage`` refuses.  Where the floor
+    underflows to 0 and no interferer reaches the PD, it is +inf (0 when
+    the signal underflows too), as the event C < eta has it.
     """
     alphas = np.asarray(alphas)
     n_sites = (2 * geometry.trunc + 1) ** 2 - 1
@@ -299,15 +306,13 @@ def sinr(
             f"alphas must have shape ({n_sites},) matching lattice_sites({geometry.trunc})"
         )
     zx, zy = position_xy(pos)
-    _noise_divisor(optical, geometry)  # for its refusals only
-    h = geometry.height
+    floor = _noise_floor(optical, geometry)
     beta = optical.beta
-    pr2 = (optical.power * optical.responsivity) ** 2
-    k2 = gain_constant(optical, geometry) ** 2
-    signal = pr2 * k2 * (zx * zx + zy * zy + h * h) ** (-beta)
-    weights = interference_weights(geometry, beta, (zx, zy))
-    interference = pr2 * k2 * float(np.dot(alphas.astype(float), weights))
-    return signal / (interference + optical.noise_psd * optical.bandwidth)
+    signal = (zx * zx + zy * zy + geometry.height**2) ** (-beta)
+    interference = float(np.dot(alphas.astype(float), interference_weights(geometry, beta, (zx, zy))))
+    if interference + floor == 0.0:
+        return math.inf if signal > 0.0 else 0.0
+    return signal / (interference + floor)
 
 
 def tail_bound(geometry: NetworkGeometry, exponent: float) -> float:

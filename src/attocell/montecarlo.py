@@ -126,7 +126,8 @@ class CltDiagnostics:
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Deterministic Philox stream for (seed, *path); see module docstring."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, path)])))
+    words = [_check_integer(seed, "seed", 0), *(_check_integer(k, "substream path", 0) for k in path)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
 
 
 def _sampled_lattice(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeometry:
@@ -336,7 +337,8 @@ def clt_diagnostics(
     """
     if not 0.0 < model.p < 1.0:
         raise ValueError("clt diagnostics require 0 < p < 1")
-    if int(trials) < 2:
+    trials = _check_integer(trials, "trials", 1)
+    if trials < 2:
         raise ValueError(f"trials must be >= 2 for a sample variance, got {trials!r}")
     sampled = _sampled_lattice(geometry, model.trunc)
     s_m = sm_brute(sampled, beta, pos).value
@@ -348,5 +350,5 @@ def clt_diagnostics(
         sample_mean=float(samples.mean()),
         sample_var=float(samples.var(ddof=1)),
         ks_stat=_ks_statistic_normal((samples - mu) / sigma1),
-        trials=int(trials),
+        trials=trials,
     )

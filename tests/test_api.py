@@ -1,7 +1,8 @@
 """Public API surface: every exported name resolves, so a deletion cannot
 leave a stale export behind, and every function the benchmark tracer wraps
 still exists. Every file the package writes goes through
-``cli._write_output``."""
+``cli._write_output``, and the shared refusals are formatted in ``model``
+alone."""
 
 import ast
 import importlib
@@ -120,3 +121,39 @@ def test_writer_guard_sees(source):
 @pytest.mark.parametrize("source", ["open(p)", "open(p, 'rb')", "p.open()", "p.read_text()", "io.open(p, 'r')"])
 def test_writer_guard_ignores_reads(source):
     assert list(_writers(ast.parse(source))) == []
+
+
+SHARED_REFUSALS = ("each coordinate and its square must be finite", "must be an integer >=")
+
+
+def _refusal_texts(tree: ast.AST):
+    """(text, line) of every string constant in ``tree``, f-string parts
+    included, that holds one of ``SHARED_REFUSALS``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for text in SHARED_REFUSALS:
+                if text in node.value:
+                    yield text, node.lineno
+
+
+def test_one_home_per_refusal():
+    # a second copy of a check drifts from the first: the position and
+    # integer checks live in model.position_xy and model._check_integer
+    found = []
+    for path in sorted(Path(attocell.__file__).parent.glob("*.py")):
+        for text, line in _refusal_texts(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name != "model.py":
+                found.append(f"{path.name}:{line} formats {text!r}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'raise ValueError(f"position ({x!r}, {y!r}): each coordinate and its square must be finite")',
+        'raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")',
+        'message = "j must be an integer >= 0"',
+    ],
+)
+def test_refusal_guard_sees(source):
+    assert len(list(_refusal_texts(ast.parse(source)))) == 1

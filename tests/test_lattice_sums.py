@@ -268,10 +268,13 @@ class TestSeries:
                 moment_sums(narrow, (4.0, 8.0), [0.0], [0.0], "series")
 
     def test_invalid_modes(self, geometry):
-        with pytest.raises(ValueError):
-            sm_series(geometry, 4.0, (0.0, 0.0), jl=(-1, 1))
-        with pytest.raises(ValueError):
-            moment_sums(geometry, (4.0,), [0.0], [0.0], jl=(-1, 1))
+        for jl in [(-1, 1), (1.5, 1), (math.inf, 1), (math.nan, 1), (1, -2)]:
+            with pytest.raises(ValueError, match=r"^mode truncation [jl] must be an integer >= 0"):
+                sm_series(geometry, 4.0, (0.0, 0.0), jl=jl)
+            with pytest.raises(ValueError, match=r"^mode truncation [jl] must be an integer >= 0"):
+                moment_sums(geometry, (4.0,), [0.0], [0.0], jl=jl)
+            with pytest.raises(ValueError, match=r"^mode truncation [jl] must be an integer >= 0"):
+                series_mode_terms(geometry, 4.0, (0.0, 0.0), jl=jl)
 
 
 class TestMomentSums:

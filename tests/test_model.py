@@ -216,17 +216,32 @@ class TestSinr:
             sinr(replace(optics, **{field: value}), self.geometry, (0.0, 0.0), np.zeros(self.n_sites))
 
     def test_in_range_values_unchanged_by_the_check(self, optics):
-        # sinr's formula written out: the check adds no term to it
+        # sinr's formula written out: signal / (C + sigma^2 / (K^2 P_o^2 R_pd^2)),
+        # the divisor formed one factor at a time as eta's noise floor forms it
         rng = np.random.default_rng(3)
         pos = (0.13, -0.07)
         weights = interference_weights(self.geometry, optics.beta, pos)
-        pr2 = (optics.power * optics.responsivity) ** 2
-        k2 = gain_constant(optics, self.geometry) ** 2
-        signal = pr2 * k2 * (pos[0] ** 2 + pos[1] ** 2 + self.geometry.height**2) ** (-optics.beta)
+        divisor = gain_constant(optics, self.geometry) ** 2 * optics.power**2 * optics.responsivity**2
+        floor = optics.noise_psd * optics.bandwidth / divisor
+        signal = (pos[0] * pos[0] + pos[1] * pos[1] + self.geometry.height**2) ** (-optics.beta)
         for _ in range(10):
             alphas = (rng.random(self.n_sites) < 0.5).astype(float)
-            want = signal / (pr2 * k2 * float(np.dot(alphas, weights)) + optics.noise_psd * optics.bandwidth)
+            want = signal / (float(np.dot(alphas, weights)) + floor)
             assert sinr(optics, self.geometry, pos, alphas) == want
+
+    def test_square_of_power_times_responsivity_may_overflow(self, optics):
+        # (P_o R_pd)^2 = 1e320, but with a 1e-12 m^2 PD K^2 P_o^2 R_pd^2 is in range
+        big = replace(optics, power=1e80, responsivity=1e80, pd_area=1e-12)
+        got = sinr(big, NetworkGeometry(0.5, 1.5, 5), (0.0, 0.0), np.zeros(120))
+        assert isinstance(got, float) and math.isfinite(got) and got > 0.0
+
+    def test_underflowed_floor_without_interference_is_infinite(self, optics):
+        # sigma^2 = 1e-300 A^2 over K^2 P_o^2 R_pd^2 ~ 1e26 is 0 in a double
+        quiet = replace(optics, power=1e20, noise_psd=1e-300, bandwidth=1.0)
+        got = sinr(quiet, self.geometry, (0.0, 0.0), np.zeros(self.n_sites))
+        assert got == math.inf
+        assert eta(quiet, self.geometry, (0.0, 0.0), 1e300) > 0.0  # so C = 0 < eta at any theta
+        assert sinr(quiet, self.geometry, (0.0, 0.0), np.ones(self.n_sites)) < math.inf
 
 
 class TestTailBound:

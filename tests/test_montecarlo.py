@@ -76,10 +76,14 @@ class TestThinningModel:
         with pytest.raises(ValueError):
             ThinningModel(p=0.5, seed=-3)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan])
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, math.inf])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
             ThinningModel(p=0.5, seed=seed)
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+            substream(seed)
+        with pytest.raises(ValueError, match=rf"^substream path must be an integer >= 0, got {seed!r}$"):
+            substream(1, seed)
 
 
 class TestSubstreams:
@@ -164,11 +168,17 @@ class TestSampling:
         with pytest.raises(ValueError, match="^" + field):
             clt_diagnostics(model, geometry, BETA, (0.0, 0.0), 10)
 
-    @pytest.mark.parametrize("trials", [0, -4, 2.5])
-    def test_trials_must_be_a_positive_integer(self, small_geometry, trials):
+    @pytest.mark.parametrize("trials", [0, -4, 2.5, math.inf, math.nan])
+    def test_trials_must_be_a_positive_integer(self, monkeypatch, small_geometry, trials):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the trial count")
+
+        monkeypatch.setattr(attocell.montecarlo, "substream", no_draw)
         model = ThinningModel(p=0.5, seed=1)
         with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1, got {trials!r}$"):
             interference_samples(model, small_geometry, BETA, (0.0, 0.0), trials)
+        with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1, got {trials!r}$"):
+            clt_diagnostics(model, small_geometry, BETA, (0.0, 0.0), trials)
 
     def test_fixed_point_shift_retried_when_rounding_passes_two_to_the_53(self):
         # the float sum is 1 - 2^-53, so the first shift is 53; rint moves
