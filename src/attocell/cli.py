@@ -299,9 +299,16 @@ _FIELDS = tuple(_Field("optical", f.name, _number) for f in dataclasses.fields(O
 )
 
 
-def _assign(cfg: RunConfig, values: dict) -> None:
-    """Set parsed ``{_Field: value}`` pairs on ``cfg``; the optical values
-    replace its OpticalConfig at once, which checks them."""
+def _assign(cfg: RunConfig, given: dict) -> None:
+    """Parse each ``{_Field: (raw, label)}`` value with its field's parser,
+    refusing a bad one as ``label: ...``, and set the values on ``cfg``; the
+    optical values replace its OpticalConfig at once, which checks them."""
+    values = {}
+    for f, (raw, label) in given.items():
+        try:
+            values[f] = f.parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
     optical = {f.key: v for f, v in values.items() if f.section == "optical"}
     if optical:
         try:
@@ -360,31 +367,16 @@ def load_config(path: str | None) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r} in section [{section}]")
 
-    values = {}
-    for f in _FIELDS:
-        keys = sections.get(f.section, {})
-        if f.key in keys:
-            try:
-                values[f] = f.parse(keys[f.key])
-            except ValueError as exc:
-                raise ConfigError(f"{f.section}.{f.key}: {exc}") from None
-    _assign(cfg, values)
+    labels = {f: f"{f.section}.{f.key}" for f in _FIELDS if f.key in sections.get(f.section, {})}
+    _assign(cfg, {f: (sections[f.section][f.key], label) for f, label in labels.items()})
     return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
     """Parse each flag given, a string stored under its field key, exactly
     as the same key in a config file."""
-    values = {}
-    for f in _FIELDS:
-        raw = getattr(args, f.key, None) if f.flag else None
-        if raw is None:
-            continue
-        try:
-            values[f] = f.parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{f.flag.name}: {exc}") from None
-    _assign(cfg, values)
+    given = {f: getattr(args, f.key, None) for f in _FIELDS if f.flag}
+    _assign(cfg, {f: (raw, f.flag.name) for f, raw in given.items() if raw is not None})
 
 
 def _fmt(x: float) -> str:

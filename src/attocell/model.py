@@ -118,6 +118,8 @@ class NetworkGeometry:
             raise ValueError(f"geometry.pitch must be > 0, got {self.pitch!r}")
         if not (math.isfinite(self.height) and self.height > 0):
             raise ValueError(f"geometry.height must be > 0, got {self.height!r}")
+        if not math.isfinite(self.height * self.height):
+            raise ValueError(f"geometry.height = {self.height!r} has a square outside the float range")
         _check_integer(self.trunc, "geometry.trunc", 1)
 
 

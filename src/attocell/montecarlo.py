@@ -30,15 +30,16 @@ are coupled by common random numbers: raising p can only add interferers,
 making realization-wise monotonicity in p exact.  Coverage tallies are
 integer counts, never floating accumulations.
 
-C itself is summed from exact fixed-point weights: each w_i is rounded
-once to an integer multiple of 2^-k, with k chosen so the integer weights
-sum to at most 2^53.  For n sites the integers are split into float32
-limbs of 24 - bit_length(n) bits each, so every sum of a 0/1 mask against
-one limb stays below 2^24 and is an exact float32 integer; the limb sums
-are recombined in int64 and scaled by 2^-k.  A limb keeps a bit only for
-n < 2^23, so a lattice of n = (2 trunc + 1)^2 - 1 = 4 trunc (trunc + 1)
-sites (two to each 64-bit word) is sampled up to trunc = 1447 rings and
-refused beyond, before any draw.  No rounding happens after the
+C itself is summed from exact fixed-point weights, a format formed in one
+place, ``_limbs``: each w_i is rounded once to an integer multiple of
+2^-k, with k chosen so the integer weights sum to at most 2^53.  For n
+sites the integers are split into float32 limbs of 24 - bit_length(n)
+bits each, written straight into one array, so every sum of a 0/1 mask
+against one limb stays below 2^24 and is an exact float32 integer; the
+limb sums are recombined in int64 and scaled by 2^-k.  A limb keeps a bit
+only for n < 2^23, so a lattice of n = (2 trunc + 1)^2 - 1 = 4 trunc
+(trunc + 1) sites (two to each 64-bit word) is sampled up to trunc = 1447
+rings and refused beyond, before any draw.  No rounding happens after the
 weights', so the order of summation cannot matter: any BLAS kernel, block
 shape, thread count or FMA gives the same C, equal bit for bit to the
 float64 sum of the fixed-point weights.  The rounding moves C by at
@@ -139,34 +140,29 @@ def _sampled_lattice(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeo
     return sampled
 
 
-def _fixed_point_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
-    """Weights rounded to integer multiples of 2^-shift, as (w_int, shift).
+def _limbs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The fixed-point format of the weights ``w``, as (limbs, place, shift).
 
-    ``w_int`` holds float64 integers summing to at most 2^53 with shift as
-    large as that allows, so ``mask @ w_int`` is exact for any 0/1 mask,
-    whatever the order of summation (see module docstring).
+    Each weight is rounded once to an integer multiple of 2^-shift, with
+    shift as large as keeps the integers' sum at most 2^53.  For n sites
+    the integers are split into ``bits = 24 - n.bit_length()``-bit columns,
+    least significant first, written into one (n, count) C-order float32
+    array: every sum of a 0/1 mask against one column stays below 2^24, so
+    ``mask @ limbs`` is exact in float32, and column j carries the weight
+    2^place[j] (see module docstring).
     """
     shift = 53 - math.frexp(float(w.sum()))[1]
     while True:
-        w_int = np.rint(np.ldexp(w, shift))
-        if int(w_int.astype(np.int64).sum()) <= 2**53:
-            return w_int, shift
+        ints = np.rint(np.ldexp(w, shift)).astype(np.int64)
+        if int(ints.sum()) <= 2**53:
+            break
         shift -= 1
-
-
-def _limbs(w_int: np.ndarray) -> tuple[np.ndarray, int]:
-    """The fixed-point integers ``w_int`` split into float32 columns of
-    ``bits`` bits each, least significant first, as (limbs, bits).
-
-    With ``bits = 24 - n.bit_length()`` for n sites, every sum of a 0/1
-    mask against one column stays below 2^24, so ``mask @ limbs`` is exact
-    in float32 (see module docstring).
-    """
-    bits = 24 - w_int.size.bit_length()
-    ints = w_int.astype(np.int64)
+    bits = 24 - w.size.bit_length()
     count = max(1, -(-int(ints.max()).bit_length() // bits))
-    columns = [(ints >> (bits * j)) & ((1 << bits) - 1) for j in range(count)]
-    return np.stack(columns, axis=1).astype(np.float32), bits
+    limbs = np.empty((w.size, count), dtype=np.float32)
+    for j in range(count):
+        limbs[:, j] = (ints >> (bits * j)) & ((1 << bits) - 1)
+    return limbs, bits * np.arange(count), shift
 
 
 def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
@@ -179,9 +175,7 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
     the fixed-point weights ``w`` of a ``_sampled_lattice`` (see module
     docstring)."""
     n = w.size
-    w_int, shift = _fixed_point_weights(w)
-    limbs, bits = _limbs(w_int)
-    place = bits * np.arange(limbs.shape[1])
+    limbs, place, shift = _limbs(w)
     # u = (r >> 8) 2^-24 < float32(p)  <=>  r < ceil(float32(p) 2^24) 2^8
     cuts = [math.ceil(float(np.float32(p)) * 2**24) << 8 for p in p_list]
     slice_rows = max(1, min(trials, _SMALL_GEMM // (n * limbs.shape[1])))

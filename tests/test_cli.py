@@ -736,6 +736,14 @@ class TestFlags:
              "optical.power = 1e-200 "),
             ("validate", ("[geometry]", "[optical]\nresponsivity = 1e-200\n[geometry]"), [],
              "optical.responsivity = 1e-200 "),
+            # a tiny PD and a wide beam keep K^2 in range, but h^2 overflows:
+            # these printed a bare OverflowError
+            ("sweep", ("[geometry]", "[optical]\npd_area = 1e-300\nhalf_angle = 1.3\n[geometry]"),
+             ["--methods", "brute", "--heights", "1e160"], "geometry.height = 1e+160 "),
+            ("sweep", ("[geometry]", "[optical]\npd_area = 1e-300\nhalf_angle = 1.3\n[geometry]"),
+             ["--methods", "montecarlo", "--heights", "1e160"], "geometry.height = 1e+160 "),
+            ("sums", ("[geometry]", "[optical]\npd_area = 1e-300\nhalf_angle = 1.3\n[geometry]"),
+             ["--height", "1e160"], "geometry.height = 1e+160 "),
         ],
         ids=[
             "montecarlo-pitch", "brute-pitch", "brute-pitch-trunc-20", "analytic-pitch", "sums-pitch", "validate-pitch", "analytic-pitch-1e-300",
@@ -745,7 +753,7 @@ class TestFlags:
             "brute-pitch-1e-30", "montecarlo-pitch-1e-30",
             "sweep-half-angle-1e-9", "sums-half-angle-1e-9", "validate-half-angle-1e-9",
             "sweep-power-1e160", "validate-power-1e160", "brute-responsivity-1e200", "montecarlo-power-1e-200",
-            "validate-responsivity-1e-200",
+            "validate-responsivity-1e-200", "brute-height-1e160", "montecarlo-height-1e160", "sums-height-1e160",
         ],
     )
     def test_out_of_range_setting_refused_before_output(

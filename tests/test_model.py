@@ -86,13 +86,29 @@ class TestConfigs:
             NetworkGeometry(pitch=0.5, height=-1.0)
         with pytest.raises(ValueError):
             NetworkGeometry(pitch=0.5, height=1.5, trunc=0)
+        # every route squares the height (the eta grid, sinr, the site bases):
+        # 1.3e154 squares to 1.69e308, 1.4e154 past the float range
+        assert NetworkGeometry(pitch=0.5, height=1.3e154).height == 1.3e154
+        with pytest.raises(ValueError, match=r"^geometry\.height = 1\.4e\+154 has a square outside the float range$"):
+            NetworkGeometry(pitch=0.5, height=1.4e154)
 
     @pytest.mark.parametrize("height", [1e-300, 1e150, 1e200])
     def test_gain_constant_out_of_range(self, optics, height):
-        # K^2 underflows to 0 or overflows (at 1e200 already h^(m+1) does,
-        # as an OverflowError): no eta grid can be formed
+        # K^2 underflows to 0 or overflows: no eta grid can be formed (at
+        # 1e200 the constructor already refuses the height, whose square
+        # overflows)
         with pytest.raises(ValueError, match=r"geometry\.height"):
             gain_constant(optics, NetworkGeometry(pitch=0.5, height=height))
+
+    def test_gain_constant_power_of_height_overflows(self, optics):
+        # a narrow beam, m = 3.6: h^(m+1) at 1e70 raises an OverflowError
+        # while h^2 fits
+        narrow = replace(optics, half_angle=0.6)
+        assert lambertian_order(0.6) == pytest.approx(3.6, abs=0.05)
+        with pytest.raises(OverflowError):
+            1e70 ** (lambertian_order(0.6) + 1.0)
+        with pytest.raises(ValueError, match=r"^geometry\.height = 1e\+70 puts the gain constant K or K\^2 "):
+            gain_constant(narrow, NetworkGeometry(pitch=0.5, height=1e70))
 
     def test_derived_constants_reference_values(self, optics, geometry):
         m = lambertian_order(optics.half_angle)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ import attocell.montecarlo
 from attocell.coverage import _eta_grid, attocell_quadrature
 from attocell.model import interference_weights
 from attocell.montecarlo import (
-    _fixed_point_weights,
     _limbs,
     _node_counts,
     _sampled_lattice,
@@ -45,7 +45,8 @@ def _reference_sums(rng, w, p_list, trials, chunk):
     """C under every p by float32 uniforms, u < float32(p), and a float64
     matvec against the fixed-point weights, drawn ``chunk`` trials at a
     time."""
-    w_int, shift = _fixed_point_weights(w)
+    shift = _limbs(w)[2]
+    w_int = np.rint(np.ldexp(w, shift))
     chunks = []
     for start in range(0, trials, chunk):
         u = rng.random((min(chunk, trials - start), w.size), dtype=np.float32)
@@ -188,10 +189,48 @@ class TestSampling:
         w[-1] = (2**49 - 10.375) * 2.0**-53
         assert 53 - math.frexp(float(w.sum()))[1] == 53
         assert int(np.rint(np.ldexp(w, 53)).astype(np.int64).sum()) == 2**53 + 5
-        w_int, shift = _fixed_point_weights(w)
+        limbs, place, shift = _limbs(w)
         assert shift == 52
+        w_int = (limbs.astype(np.int64) << place).sum(axis=1)
         assert np.array_equal(w_int, np.rint(np.ldexp(w, 52)))
-        assert int(w_int.astype(np.int64).sum()) <= 2**53
+        assert int(w_int.sum()) <= 2**53
+
+    @pytest.mark.parametrize("n,bits", [(4094, 12), (4096, 11)])
+    @pytest.mark.parametrize("kind", ["near_one", "uniform"])
+    def test_limbs_at_a_bit_length_boundary(self, n, bits, kind):
+        # 4094 sites take limbs of 12 bits, 4096 of 11.  Weights of 1 - 2^-40
+        # round to 2^41 - 2, every column but the lowest all ones: at 4094
+        # sites an all-ones mask sums a column to 4094 * 4095, just below 2^24
+        if kind == "near_one":
+            w = np.full(n, 1.0 - 2.0**-40)
+        else:
+            w = np.random.default_rng(n).uniform(0.5, 1.0, n)
+        limbs, place, shift = _limbs(w)
+        assert limbs.dtype == np.float32 and limbs.flags.c_contiguous
+        assert np.array_equal(place, bits * np.arange(limbs.shape[1]))
+        column_sums = limbs.astype(np.int64).sum(axis=0)
+        assert column_sums.max() < 2**24
+        assert np.array_equal(np.ones((1, n), dtype=np.float32) @ limbs, column_sums[None, :])
+        assert np.array_equal((limbs.astype(np.int64) << place).sum(axis=1), np.rint(np.ldexp(w, shift)))
+
+    def test_limbs_peak_memory_within_twice_the_array(self):
+        # 361 200 sites at 300 rings take 10 limbs of 5 bits (14 MB); each
+        # column is written straight into that array, so the build holds no
+        # int64 copy of every limb beside it
+        w = interference_weights(NetworkGeometry(pitch=0.5, height=1.5, trunc=300), BETA, (0.1, -0.05))
+        assert w.size == 361_200
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            limbs = _limbs(w)[0]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert limbs.shape == (361_200, 10)
+        assert peak <= 2 * limbs.nbytes
 
     def test_fixed_point_error_within_bound(self, small_geometry):
         # C against the correctly rounded sum of the same sites' float weights;
@@ -250,7 +289,7 @@ class TestDraws:
         # words are read in the same order, so C is unchanged
         pos = (0.1, -0.05)
         w = interference_weights(small_geometry, BETA, pos)
-        limb_count = _limbs(_fixed_point_weights(w)[0])[0].shape[1]
+        limb_count = _limbs(w)[0].shape[1]
         monkeypatch.setattr(attocell.montecarlo, "_SMALL_GEMM", 7 * w.size * limb_count + 1)
         slices = [c for c, in _thinned_sums(substream(6, 1), w, (0.5,), 1100)]
         assert [c.size for c in slices] == [7] * 157 + [1]
@@ -329,7 +368,7 @@ class TestOverlappedDraws:
         """Weights at one position, with ``_SMALL_GEMM`` cut so that slices
         hold 7 trials: 1100 trials are 158 slices."""
         w = interference_weights(small_geometry, BETA, (0.1, -0.05))
-        limb_count = _limbs(_fixed_point_weights(w)[0])[0].shape[1]
+        limb_count = _limbs(w)[0].shape[1]
         monkeypatch.setattr(attocell.montecarlo, "_SMALL_GEMM", 7 * w.size * limb_count + 1)
         return w
 
