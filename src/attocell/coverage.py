@@ -33,7 +33,7 @@ import numpy as np
 
 from . import specfun
 from .lattice_sums import moment_sums
-from .model import NetworkGeometry, OpticalConfig, _check_integer, _noise_floor, position_xy
+from .model import NetworkGeometry, OpticalConfig, _check_integer, _noise_floor, _tagged_term, position_xy
 
 __all__ = [
     "CoverageCurve",
@@ -63,10 +63,10 @@ def _eta_grid(
     theta_linear,
 ) -> np.ndarray:
     """eta at every (threshold, node) pair, shape (len(theta_linear),
-    len(zx)): the signal over theta, less the noise floor.  The noise floor
-    is computed first, so a height whose K^2 leaves the float range, or an
-    optical power or responsivity that takes K^2 P_o^2 R_pd^2 out of it, is
-    refused, naming the field, before the signal is formed."""
+    len(zx)): the signal ``model._tagged_term`` over theta, less the noise
+    floor.  The floor comes first, so a height whose K^2 leaves the float
+    range, or an optical power or responsivity that takes K^2 P_o^2 R_pd^2
+    out of it, is refused, naming the field, before the signal is formed."""
     theta = np.atleast_1d(np.asarray(theta_linear, dtype=float))
     bad = theta[~(np.isfinite(theta) & (theta > 0.0))]
     if bad.size:
@@ -74,7 +74,7 @@ def _eta_grid(
     noise = _noise_floor(optical, geometry)
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
     zy = np.atleast_1d(np.asarray(zy, dtype=float))
-    signal = (zx * zx + zy * zy + geometry.height**2) ** (-optical.beta)
+    signal = _tagged_term(geometry, optical.beta, zx, zy)
     return signal[None, :] / theta[:, None] - noise
 
 
@@ -223,7 +223,7 @@ class CoverageCurve:
     def __post_init__(self):
         if self.theta_db.shape != self.values.shape:
             raise ValueError("theta_db and values must have matching shapes")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
+        if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
             raise ValueError("coverage values must lie in [0, 1]")
         if self.stderr is not None and self.stderr.shape != self.values.shape:
             raise ValueError("stderr must match the grid shape")

@@ -52,10 +52,11 @@ It is the one place that picks the evaluator:
   positive terms, so the window is far too small there (a narrow beam or a
   low mounting) and brute force is the remedy.
 
-``moment_sums`` alone refuses a sum that leaves the float range: a value of
-0 or not finite, by either evaluator, or a series term that overflows or
-divides by an underflowed 0, is a ``ValueError`` naming ``geometry.height``
-(h far below or above the pitch).
+``moment_sums`` refuses a sum that leaves the float range: a value of 0 or
+not finite, by either evaluator, or a series term that overflows or divides
+by an underflowed 0, is a ``ValueError`` naming ``geometry.height`` (h far
+below or above the pitch).  The series' self term is ``model._tagged_term``,
+which refuses its own overflow by the same rule, naming ``geometry.height``.
 
 ``sm_brute`` / ``sv_brute`` and ``sm_series`` / ``sv_series`` are the
 per-position forms (exponent beta and 2 beta) returning a ``SumResult``.
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkGeometry, _check_exponent, _check_integer, _site_bases, _site_weights
-from .model import _with_trunc, position_xy, tail_bound
+from .model import _tagged_term, _with_trunc, position_xy, tail_bound
 from .specfun import bessel_k, gamma
 
 __all__ = [
@@ -136,7 +137,7 @@ def _series_terms(geometry: NetworkGeometry, e: float, zx, zy, jl: tuple[int, in
     a = geometry.pitch
     h = geometry.height
     yield "integral", 1.0, math.pi * h ** (2.0 - 2.0 * e) / (a * a * (e - 1.0))
-    yield "self", 1.0, -((zx * zx + zy * zy + h * h) ** (-e))
+    yield "self", 1.0, -_tagged_term(geometry, e, zx, zy)
     gamma_e = gamma(e)
     for w in range(jl[0] + 1):
         for f in range(jl[1] + 1):

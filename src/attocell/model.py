@@ -25,8 +25,8 @@ The line-of-sight electrical quantities implemented below:
   (sum_i alpha_i P_o^2 G_i^2 R_pd^2 + sigma^2)``
 
 ``sinr`` evaluates the SINR divided through by K^2 P_o^2 R_pd^2: the signal
-(z^2 + h^2)^(-beta) over the interference C plus the noise floor
-sigma^2 / (K^2 P_o^2 R_pd^2), the form ``coverage.eta`` comes from.
+(z^2 + h^2)^(-beta), whose one home is ``_tagged_term``, over the interference
+C plus the noise floor sigma^2 / (K^2 P_o^2 R_pd^2), as ``coverage.eta`` does.
 """
 
 from __future__ import annotations
@@ -285,6 +285,22 @@ def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.
     return np.delete(_site_weights(base, e), base.size // 2)
 
 
+def _tagged_term(geometry: NetworkGeometry, e: float, zx, zy):
+    """The tagged LED's term (z^2 + h^2)^(-e) of eta, ``sinr`` and the series at
+    (zx, zy), floats or arrays; a ``ValueError`` naming the height if not finite."""
+    try:
+        with np.errstate(over="ignore", divide="ignore"):
+            term = (zx * zx + zy * zy + geometry.height**2) ** (-e)
+    except (OverflowError, ZeroDivisionError):
+        term = math.inf
+    if not np.all(np.isfinite(term)):
+        raise ValueError(
+            f"geometry.height = {geometry.height!r} puts the tagged LED's (z^2 + h^2)^(-e) "
+            f"outside the float range (e = {e:.6g})"
+        )
+    return term
+
+
 def sinr(
     optical: OpticalConfig,
     geometry: NetworkGeometry,
@@ -310,7 +326,7 @@ def sinr(
     zx, zy = position_xy(pos)
     floor = _noise_floor(optical, geometry)
     beta = optical.beta
-    signal = (zx * zx + zy * zy + geometry.height**2) ** (-beta)
+    signal = _tagged_term(geometry, beta, zx, zy)
     interference = float(np.dot(alphas.astype(float), interference_weights(geometry, beta, (zx, zy))))
     if interference + floor == 0.0:
         return math.inf if signal > 0.0 else 0.0

@@ -186,27 +186,21 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
     # np.less and the sgemm release the GIL.  Leaving the with block joins it
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(draw, slice_rows * n // 2)
-        try:
-            for i in range(0, trials, slice_rows):
-                rows = min(slice_rows, trials - i)
-                raw = pending.result()
-                if i + rows < trials:
-                    pending = helper.submit(draw, min(slice_rows, trials - i - rows) * n // 2)
-                # little-endian: the low half of each 64-bit word comes first
-                r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)
-                m = mask[:rows]
-                for k, cut in enumerate(cuts):
-                    if cut < 2**32:
-                        np.less(r, cut, out=m)
-                    else:  # float32(p) == 1: every word is below the cut
-                        m.fill(1.0)
-                    np.matmul(m, limbs, out=sums[k, :rows])
-                yield np.ldexp((sums[:, :rows].astype(np.int64) << place).sum(axis=2).astype(float), -shift)
-        finally:
-            # a consumer that stops early, or raises, leaves the next slice's
-            # draw in flight: cancel it, or wait for it and drop its words
-            if not pending.cancel():
-                pending.exception()
+        for i in range(0, trials, slice_rows):
+            rows = min(slice_rows, trials - i)
+            raw = pending.result()
+            if i + rows < trials:
+                pending = helper.submit(draw, min(slice_rows, trials - i - rows) * n // 2)
+            # little-endian: the low half of each 64-bit word comes first
+            r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)
+            m = mask[:rows]
+            for k, cut in enumerate(cuts):
+                if cut < 2**32:
+                    np.less(r, cut, out=m)
+                else:  # float32(p) == 1: every word is below the cut
+                    m.fill(1.0)
+                np.matmul(m, limbs, out=sums[k, :rows])
+            yield np.ldexp((sums[:, :rows].astype(np.int64) << place).sum(axis=2).astype(float), -shift)
 
 
 def interference_samples(

@@ -123,7 +123,11 @@ def test_writer_guard_ignores_reads(source):
     assert list(_writers(ast.parse(source))) == []
 
 
-SHARED_REFUSALS = ("each coordinate and its square must be finite", "must be an integer >=")
+SHARED_REFUSALS = (
+    "each coordinate and its square must be finite",
+    "must be an integer >=",
+    "(z^2 + h^2)^(-e) outside the float range",
+)
 
 
 def _refusal_texts(tree: ast.AST):
@@ -137,8 +141,9 @@ def _refusal_texts(tree: ast.AST):
 
 
 def test_one_home_per_refusal():
-    # a second copy of a check drifts from the first: the position and
-    # integer checks live in model.position_xy and model._check_integer
+    # a second copy of a check drifts from the first: the position, integer
+    # and tagged-term checks live in model.position_xy, model._check_integer
+    # and model._tagged_term
     found = []
     for path in sorted(Path(attocell.__file__).parent.glob("*.py")):
         for text, line in _refusal_texts(ast.parse(path.read_text(encoding="utf-8"))):
@@ -153,6 +158,7 @@ def test_one_home_per_refusal():
         'raise ValueError(f"position ({x!r}, {y!r}): each coordinate and its square must be finite")',
         'raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")',
         'message = "j must be an integer >= 0"',
+        'raise ValueError(f"geometry.height = {h!r} puts the tagged LED\'s (z^2 + h^2)^(-e) outside the float range")',
     ],
 )
 def test_refusal_guard_sees(source):

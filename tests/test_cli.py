@@ -744,6 +744,16 @@ class TestFlags:
              ["--methods", "montecarlo", "--heights", "1e160"], "geometry.height = 1e+160 "),
             ("sums", ("[geometry]", "[optical]\npd_area = 1e-300\nhalf_angle = 1.3\n[geometry]"),
              ["--height", "1e160"], "geometry.height = 1e+160 "),
+            # (h^2)^(-beta) overflows at a node on the LED's axis: these warned, and
+            # montecarlo counted against an infinite eta and exited 0
+            ("sweep", ("", ""), ["--methods", "brute", "--heights", "1e-40", "--quad-order", "3"],
+             "geometry.height = 1e-40 "),
+            ("sweep", ("", ""), ["--methods", "montecarlo", "--heights", "1e-40", "--mc-quad-order", "3"],
+             "geometry.height = 1e-40 "),
+            ("sweep", ("", ""), ["--methods", "analytic", "--heights", "1e-40", "--quad-order", "3"],
+             "geometry.height = 1e-40 "),
+            ("sums", ("", ""), ["--height", "1e-40"], "geometry.height = 1e-40 "),
+            ("validate", ("", ""), ["--heights", "1e-40", "--mc-quad-order", "3"], "geometry.height = 1e-40 "),
         ],
         ids=[
             "montecarlo-pitch", "brute-pitch", "brute-pitch-trunc-20", "analytic-pitch", "sums-pitch", "validate-pitch", "analytic-pitch-1e-300",
@@ -754,6 +764,8 @@ class TestFlags:
             "sweep-half-angle-1e-9", "sums-half-angle-1e-9", "validate-half-angle-1e-9",
             "sweep-power-1e160", "validate-power-1e160", "brute-responsivity-1e200", "montecarlo-power-1e-200",
             "validate-responsivity-1e-200", "brute-height-1e160", "montecarlo-height-1e160", "sums-height-1e160",
+            "brute-height-1e-40", "montecarlo-height-1e-40", "analytic-height-1e-40", "sums-height-1e-40",
+            "validate-height-1e-40",
         ],
     )
     def test_out_of_range_setting_refused_before_output(

@@ -278,8 +278,9 @@ class TestCoverageCurve:
         grid = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="theta_db and values must have matching shapes"):
             CoverageCurve(grid, np.array([0.5]))
-        with pytest.raises(ValueError, match=r"coverage values must lie in \[0, 1\]"):
-            CoverageCurve(grid, np.array([0.5, 1.5]))
+        for values in ([0.5, 1.5], [0.5, np.nan]):
+            with pytest.raises(ValueError, match=r"coverage values must lie in \[0, 1\]"):
+                CoverageCurve(grid, np.array(values))
         with pytest.raises(ValueError, match="stderr must match the grid shape"):
             CoverageCurve(grid, np.array([0.5, 0.5]), np.array([0.1]))
         curve = CoverageCurve(grid, np.array([0.5, 0.5]))

@@ -267,6 +267,19 @@ class TestSeries:
             with pytest.raises(ValueError, match=r"geometry\.height = 1\.5 puts the series sums"):
                 moment_sums(narrow, (4.0, 8.0), [0.0], [0.0], "series")
 
+    def test_self_term_outside_float_range_names_the_height(self):
+        # h^2 = 1e-400 underflows to 0 while the integral term h^(2 - 2e) stays
+        # finite at e = 1.01: the self term 0^(-e) warned, and per position
+        # raised a bare ZeroDivisionError
+        low = NetworkGeometry(pitch=0.5, height=1e-200, trunc=20)
+        message = r"^geometry\.height = 1e-200 puts the tagged LED's"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                moment_sums(low, (1.01,), [0.0], [0.0], "series")
+            with pytest.raises(ValueError, match=message):
+                series_mode_terms(low, 1.01, (0.0, 0.0))
+
     def test_invalid_modes(self, geometry):
         for jl in [(-1, 1), (1.5, 1), (math.inf, 1), (math.nan, 1), (1, -2)]:
             with pytest.raises(ValueError, match=r"^mode truncation [jl] must be an integer >= 0"):

@@ -251,6 +251,12 @@ class TestSinr:
         got = sinr(big, NetworkGeometry(0.5, 1.5, 5), (0.0, 0.0), np.zeros(120))
         assert isinstance(got, float) and math.isfinite(got) and got > 0.0
 
+    def test_tagged_term_outside_float_range_names_the_height(self, optics):
+        # a wide beam keeps K^2 in range at h = 1e-100, where (h^2)^(-beta) overflows
+        wide = replace(optics, half_angle=1.3)
+        with pytest.raises(ValueError, match=r"^geometry\.height = 1e-100 "):
+            sinr(wide, NetworkGeometry(0.5, 1e-100, 5), (0, 0), np.zeros(120))
+
     def test_underflowed_floor_without_interference_is_infinite(self, optics):
         # sigma^2 = 1e-300 A^2 over K^2 P_o^2 R_pd^2 ~ 1e26 is 0 in a double
         quiet = replace(optics, power=1e20, noise_psd=1e-300, bandwidth=1.0)
