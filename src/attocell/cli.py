@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .coverage import CoverageCurve, coverage_curves, db_to_linear
 from .lattice_sums import moment_sums, series_mode_terms
-from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, position_xy, tail_bound
+from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, _or_inf, position_xy, tail_bound
 from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
 from .specfun import gamma
 
@@ -85,10 +85,10 @@ def _integer(raw) -> int:
             raise TypeError
         if isinstance(raw, str):
             return int(raw, 0)
-        if int(raw) != raw:
+        if not (raw.is_integer() if isinstance(raw, float) else int(raw) == raw):  # a float NaN or inf too
             raise ValueError
         return int(raw)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
@@ -244,8 +244,7 @@ class RunConfig:
             raise ConfigError("sweep.theta_db_stop: must be >= theta_db_start")
         grid = self.theta_db_grid()
         for key, db in (("theta_db_start", float(grid[0])), ("theta_db_stop", float(grid[-1]))):
-            with np.errstate(over="ignore"):
-                theta = float(db_to_linear(db))
+            theta = float(_or_inf(lambda: db_to_linear(db)))
             if not 0.0 < theta < math.inf:
                 raise ConfigError(f"sweep.{key}: threshold {db!r} dB is {theta!r} linear, must be finite and > 0")
         if series:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import specfun
 from .lattice_sums import moment_sums
-from .model import NetworkGeometry, OpticalConfig, _check_integer, _noise_floor, _tagged_term, position_xy
+from .model import NetworkGeometry, OpticalConfig, _check_integer, _noise_floor, _or_inf, _tagged_term, position_xy
 
 __all__ = [
     "CoverageCurve",
@@ -75,7 +75,7 @@ def _eta_grid(
     zx = np.atleast_1d(np.asarray(zx, dtype=float))
     zy = np.atleast_1d(np.asarray(zy, dtype=float))
     signal = _tagged_term(geometry, optical.beta, zx, zy)
-    return signal[None, :] / theta[:, None] - noise
+    return _or_inf(lambda: signal[None, :] / theta[:, None] - noise)
 
 
 def eta(
@@ -97,7 +97,8 @@ def conditional_coverage(eta_value, mu, sigma1):
     A lane with sigma1 = 0 is the degenerate (deterministic interference)
     case and gives the indicator of mu < eta_value.  A lane with
     eta_value <= 0 gives 0 without an erf call: its first erf argument is
-    replaced by one that ``specfun.erf`` saturates to -1.
+    replaced by one that ``specfun.erf`` saturates to -1; capped at one that
+    saturates to +1, it gives an overflowing or infinite eta_value the limit.
     """
     eta_value = np.asarray(eta_value, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -109,7 +110,8 @@ def conditional_coverage(eta_value, mu, sigma1):
     scale = _SQRT2 * np.where(degenerate, 1.0, sigma1)
     # -1 + erf(mu / scale) <= 0 clips to the 0 that the unskipped sum gives;
     # a NaN eta_value keeps its argument, which specfun.erf refuses
-    upper = np.where(eta_value <= 0.0, -specfun._ERF_SATURATED, (eta_value - mu) / scale)
+    cap = specfun._ERF_SATURATED
+    upper = np.where(eta_value <= 0.0, -cap, np.minimum(_or_inf(lambda: (eta_value - mu) / scale), cap))
     mass = np.clip(0.5 * (specfun.erf(upper) + specfun.erf(mu / scale)), 0.0, 1.0)
     value = np.where(degenerate, mu < eta_value, mass) if degenerate.any() else mass
     return float(value) if np.ndim(value) == 0 else value

@@ -52,11 +52,10 @@ It is the one place that picks the evaluator:
   positive terms, so the window is far too small there (a narrow beam or a
   low mounting) and brute force is the remedy.
 
-``moment_sums`` refuses a sum that leaves the float range: a value of 0 or
-not finite, by either evaluator, or a series term that overflows or divides
-by an underflowed 0, is a ``ValueError`` naming ``geometry.height`` (h far
-below or above the pitch).  The series' self term is ``model._tagged_term``,
-which refuses its own overflow by the same rule, naming ``geometry.height``.
+``moment_sums`` refuses a sum of 0 or not finite by either evaluator (an
+overflow is inf, ``model._or_inf``), as the series' self term
+``model._tagged_term`` does, with a ``ValueError`` naming ``geometry.height``
+(h far below or above the pitch); ``series_mode_terms`` refuses the same.
 
 ``sm_brute`` / ``sv_brute`` and ``sm_series`` / ``sv_series`` are the
 per-position forms (exponent beta and 2 beta) returning a ``SumResult``.
@@ -74,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkGeometry, _check_exponent, _check_integer, _site_bases, _site_weights
-from .model import _tagged_term, _with_trunc, position_xy, tail_bound
+from .model import _or_inf, _tagged_term, _with_trunc, position_xy, tail_bound
 from .specfun import bessel_k, gamma
 
 __all__ = [
@@ -212,14 +211,11 @@ def moment_sums(
         position_xy(node)
     if sums == "series":
         jl = _check_jl(jl)
-        try:
-            values = np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents])
-        except (OverflowError, ZeroDivisionError):
-            values = np.array([[math.inf]])  # a series term, or a divisor in one, left the float range
+        values = _or_inf(lambda: np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents]))
     elif sums == "brute":
         for e in exponents:
             tail_bound(geometry, e)  # the truncation gate (see module docstring)
-        values = _brute_values(geometry, exponents, zx, zy)
+        values = _or_inf(lambda: _brute_values(geometry, exponents, zx, zy))
     else:
         raise ValueError(f"sums must be 'series' or 'brute', got {sums!r}")
     if not np.all(np.isfinite(values) & (values != 0.0)):
@@ -274,6 +270,7 @@ def series_mode_terms(
     have contributed, and the weighted contribution actually used.
     """
     zx, zy = position_xy(pos)
+    moment_sums(geometry, (exponent,), zx, zy, "series", jl)  # for its refusals only
     rows = []
     for term, weight, g in _series_terms(geometry, _check_exponent(exponent), zx, zy, _check_jl(jl)):
         row = {"term": term, "weight": weight, "contribution": float(weight * g)}

@@ -27,6 +27,8 @@ The line-of-sight electrical quantities implemented below:
 ``sinr`` evaluates the SINR divided through by K^2 P_o^2 R_pd^2: the signal
 (z^2 + h^2)^(-beta), whose one home is ``_tagged_term``, over the interference
 C plus the noise floor sigma^2 / (K^2 P_o^2 R_pd^2), as ``coverage.eta`` does.
+These steep powers can leave the float range: ``_or_inf`` is the one home that
+reads an overflow as inf, and each caller refuses it with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -135,6 +137,16 @@ def _check_integer(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _or_inf(compute):
+    """``compute()``, with an overflow or a division by an underflowed 0 read
+    as inf, never a numpy warning or an ``OverflowError``; callers refuse it."""
+    try:
+        with np.errstate(over="ignore", divide="ignore"):
+            return compute()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def _with_trunc(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeometry:
     """``geometry`` truncated at ``trunc`` rings (None keeps its own), checked
     as any geometry is: how a ``trunc=`` override takes effect."""
@@ -156,10 +168,7 @@ def gain_constant(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
     """Gain constant K = (m+1) A_pd h^(m+1) / (2 pi); a ``ValueError``
     naming ``geometry.height`` when K or K^2 is 0 or not finite."""
     m = lambertian_order(optical.half_angle)
-    try:
-        k = (m + 1.0) * optical.pd_area * geometry.height ** (m + 1.0) / (2.0 * math.pi)
-    except OverflowError:
-        k = math.inf
+    k = _or_inf(lambda: (m + 1.0) * optical.pd_area * geometry.height ** (m + 1.0) / (2.0 * math.pi))
     if not 0.0 < k * k < math.inf:
         raise ValueError(
             f"geometry.height = {geometry.height!r} puts the gain constant K or K^2 "
@@ -177,10 +186,7 @@ def _noise_floor(optical: OpticalConfig, geometry: NetworkGeometry) -> float:
     scale = gain_constant(optical, geometry) ** 2
     for name in ("power", "responsivity"):
         v = getattr(optical, name)
-        try:
-            scale = scale * v**2
-        except OverflowError:
-            scale = math.inf
+        scale = _or_inf(lambda: scale * v**2)
         if not 0.0 < scale < math.inf:
             raise ValueError(
                 f"optical.{name} = {v!r} puts the noise floor's divisor K^2 P_o^2 R_pd^2 outside "
@@ -288,11 +294,7 @@ def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.
 def _tagged_term(geometry: NetworkGeometry, e: float, zx, zy):
     """The tagged LED's term (z^2 + h^2)^(-e) of eta, ``sinr`` and the series at
     (zx, zy), floats or arrays; a ``ValueError`` naming the height if not finite."""
-    try:
-        with np.errstate(over="ignore", divide="ignore"):
-            term = (zx * zx + zy * zy + geometry.height**2) ** (-e)
-    except (OverflowError, ZeroDivisionError):
-        term = math.inf
+    term = _or_inf(lambda: (zx * zx + zy * zy + geometry.height**2) ** (-e))
     if not np.all(np.isfinite(term)):
         raise ValueError(
             f"geometry.height = {geometry.height!r} puts the tagged LED's (z^2 + h^2)^(-e) "
@@ -312,10 +314,10 @@ def sinr(
     ``alphas`` assigns 0/1 to every site of ``lattice_sites(geometry.trunc)``
     in that exact order.  The tagged LED at the origin always transmits; the
     realization only controls the interferers.  The SINR is evaluated
-    divided through by K^2 P_o^2 R_pd^2, over ``coverage.eta``'s noise
-    floor, so it refuses what ``coverage`` refuses.  Where the floor
-    underflows to 0 and no interferer reaches the PD, it is +inf (0 when
-    the signal underflows too), as the event C < eta has it.
+    divided through by K^2 P_o^2 R_pd^2, over ``coverage.eta``'s noise floor,
+    so it refuses what ``coverage`` refuses, and interferer weights outside
+    the float range.  Where the floor underflows to 0 and no interferer
+    reaches the PD, it is +inf (0 when the signal underflows too), as C < eta.
     """
     alphas = np.asarray(alphas)
     n_sites = (2 * geometry.trunc + 1) ** 2 - 1
@@ -327,7 +329,10 @@ def sinr(
     floor = _noise_floor(optical, geometry)
     beta = optical.beta
     signal = _tagged_term(geometry, beta, zx, zy)
-    interference = float(np.dot(alphas.astype(float), interference_weights(geometry, beta, (zx, zy))))
+    weights = _or_inf(lambda: interference_weights(geometry, beta, (zx, zy)))
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"geometry.height = {geometry.height!r} puts interferer weights outside the float range")
+    interference = float(np.dot(alphas.astype(float), weights))
     if interference + floor == 0.0:
         return math.inf if signal > 0.0 else 0.0
     return signal / (interference + floor)
@@ -349,10 +354,7 @@ def tail_bound(geometry: NetworkGeometry, exponent: float) -> float:
     e = _check_exponent(exponent)
     a = geometry.pitch
     r_max = a * max(geometry.trunc - 1, 0.5)
-    try:
-        bound = 2.0 * math.pi * r_max ** (2.0 - 2.0 * e) / ((2.0 * e - 2.0) * a * a)
-    except (OverflowError, ZeroDivisionError):
-        bound = math.inf
+    bound = _or_inf(lambda: 2.0 * math.pi * r_max ** (2.0 - 2.0 * e) / ((2.0 * e - 2.0) * a * a))
     if bound == math.inf:
         raise ValueError(
             f"geometry.pitch = {a!r} puts the tail bound outside the float range at "

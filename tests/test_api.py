@@ -1,8 +1,8 @@
 """Public API surface: every exported name resolves, so a deletion cannot
 leave a stale export behind, and every function the benchmark tracer wraps
 still exists. Every file the package writes goes through
-``cli._write_output``, and the shared refusals are formatted in ``model``
-alone."""
+``cli._write_output``, the shared refusals are formatted in ``model`` alone,
+and ``model._or_inf`` alone reads a float overflow."""
 
 import ast
 import importlib
@@ -163,3 +163,76 @@ def test_one_home_per_refusal():
 )
 def test_refusal_guard_sees(source):
     assert len(list(_refusal_texts(ast.parse(source)))) == 1
+
+
+# An except that catches these, or an errstate or seterr call, reads a float
+# overflow; outside model._or_inf, only these three may hold one: an integer
+# check's int(inf), math.gamma's overflow turned into gamma's own ValueError,
+# and the command line's last-resort net
+FLOAT_ERROR_NAMES = {"OverflowError", "ZeroDivisionError", "ArithmeticError", "Exception", "BaseException"}
+FLOAT_ERROR_HOMES = {
+    ("model.py", "_or_inf"), ("model.py", "_check_integer"), ("specfun.py", "gamma"), ("cli.py", "main")
+}
+
+
+def _float_error_readers(tree: ast.AST):
+    """(function, line) of every bare ``except`` in ``tree``, every one naming
+    one of ``FLOAT_ERROR_NAMES``, and every ``errstate`` or ``seterr`` call."""
+
+    def names(node):
+        items = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {item.attr if isinstance(item, ast.Attribute) else getattr(item, "id", None) for item in items}
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and (child.type is None or names(child.type) & FLOAT_ERROR_NAMES):
+                yield function, child.lineno
+            if isinstance(child, ast.Call) and names(child.func) & {"errstate", "seterr"}:
+                yield function, child.lineno
+            yield from walk(child, function)
+
+    yield from walk(tree, None)
+
+
+def test_one_home_for_float_overflow():
+    # a second copy of the rule drifts from the first: one missed the numpy
+    # warning, another the bare OverflowError
+    found = []
+    for path in sorted(Path(attocell.__file__).parent.glob("*.py")):
+        for function, line in _float_error_readers(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name, function) not in FLOAT_ERROR_HOMES:
+                found.append(f"{path.name}:{line} in {function}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "try:\n    x\nexcept OverflowError:\n    pass",
+        "try:\n    x\nexcept (TypeError, ZeroDivisionError) as exc:\n    pass",
+        "try:\n    x\nexcept ArithmeticError:\n    pass",
+        "try:\n    x\nexcept builtins.OverflowError:\n    pass",
+        "try:\n    x\nexcept Exception:\n    pass",
+        "try:\n    x\nexcept:\n    pass",
+        "with np.errstate(over='ignore'):\n    x",
+        "with numpy.errstate(divide='ignore'), open(p):\n    x",
+        "old = np.seterr(over='ignore')",
+    ],
+)
+def test_float_error_guard_sees(source):
+    assert len(list(_float_error_readers(ast.parse(source)))) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "try:\n    x\nexcept ValueError:\n    pass",
+        "try:\n    x\nexcept (TypeError, KeyError):\n    pass",
+        "np.isfinite(x)",
+    ],
+)
+def test_float_error_guard_ignores_others(source):
+    assert list(_float_error_readers(ast.parse(source))) == []

@@ -21,6 +21,7 @@ from attocell.cli import (
     RunConfig,
     _integer,
     _row_leads,
+    _sections_from_json,
     _write_curve_csv,
     load_config,
     main,
@@ -150,9 +151,12 @@ class TestLoadConfig:
             ("bad.json", '{"geometry": {"pitch": 0.5,}}', "cannot parse config file {path}: Expecting property name"),
             ("bad.json", '{"geometry": [0.5]}', "config section [geometry] must hold key = value pairs"),
             ("bad.json", '{"geometry": {"trunc": 2.5}}', "geometry.trunc: expected an integer, got 2.5"),
+            # int(inf) raises OverflowError, int(nan) ValueError
+            ("bad.json", '{"geometry": {"trunc": Infinity}}', "geometry.trunc: expected an integer, got inf"),
+            ("bad.json", '{"thinning": {"seed": NaN}}', "thinning.seed: expected an integer, got nan"),
         ],
         ids=["ini-power", "ini-theta-stop-below-start", "ini-no-section-header", "json-malformed",
-             "json-section-not-object", "json-fractional-trunc"],
+             "json-section-not-object", "json-fractional-trunc", "json-infinite-trunc", "json-nan-seed"],
     )
     def test_bad_file_is_one_error_line(self, tmp_path, capsys, name, text, error):
         path = tmp_path / name
@@ -163,6 +167,13 @@ class TestLoadConfig:
         assert captured.out == "" and not out.exists()
         [line] = captured.err.splitlines()
         assert line.startswith("error: " + error.format(path=path))
+
+    def test_json_top_level_must_be_an_object(self, tmp_path):
+        # load_config sends only text that starts with "{" here
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))}: top level must be an object$"):
+            _sections_from_json(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -470,6 +481,30 @@ class TestSweep:
         assert methods == ["brute", "brute"]
         assert len(json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]) == 6
 
+    @pytest.mark.parametrize(
+        "flags,p_c",
+        [
+            (["--methods", "brute", "--trunc", "20", "--quad-order", "1"], "0.98379645195361731"),
+            (["--methods", "montecarlo", "--mc-quad-order", "1", "--trials", "10", "--mc-trunc", "5"], "1"),
+        ],
+        ids=["brute", "montecarlo"],
+    )
+    def test_eta_past_the_float_range_takes_the_limit(self, tmp_path, flags, p_c):
+        # signal / 1e-300 overflows: eta is +inf, so the Gaussian mass is its
+        # limit and every trial covered; these warned, and brute then failed
+        # with "erf: non-finite input"
+        config = tmp_path / "low.ini"
+        config.write_text("[sweep]\ntheta_db_start = -3000\ntheta_db_stop = -2990\ntheta_db_step = 10\n")
+        out = tmp_path / "o"
+        argv = ["--config", str(config), "--heights", "0.05", "--p", "0.5", *flags, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("sweep", *argv)
+        assert code == EXIT_OK
+        assert not caught
+        [csv] = out.glob("*.csv")
+        assert [row.split(",")[2] for row in csv.read_text().splitlines()[1:]] == [p_c, p_c]
+
     def test_unwritable_output_exit_code(self, tiny_config, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -568,6 +603,17 @@ class TestFlags:
         command, *flag = argv
         assert run_cli(command, "--config", str(tiny_config), *flag) == EXIT_CONFIG
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_arithmetic_error_is_one_error_line(self, monkeypatch, capsys):
+        # the last-resort net: an overflow no check names still exits 1 on one line
+        def overflow(*args):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr("attocell.cli.run_sums", overflow)
+        assert run_cli("sums") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: OverflowError: (34, 'Numerical result out of range')\n"
 
     def test_usage_error_exits_config(self):
         # exit 2 belongs to a failed validate
@@ -753,6 +799,8 @@ class TestFlags:
             ("sweep", ("", ""), ["--methods", "analytic", "--heights", "1e-40", "--quad-order", "3"],
              "geometry.height = 1e-40 "),
             ("sums", ("", ""), ["--height", "1e-40"], "geometry.height = 1e-40 "),
+            # an interferer's (h^2)^(-beta) overflows under the PD: the brute sums warned
+            ("sums", ("", ""), ["--pos", "0.5,0", "--height", "1e-40", "--trunc", "5"], "geometry.height = 1e-40 "),
             ("validate", ("", ""), ["--heights", "1e-40", "--mc-quad-order", "3"], "geometry.height = 1e-40 "),
         ],
         ids=[
@@ -765,7 +813,7 @@ class TestFlags:
             "sweep-power-1e160", "validate-power-1e160", "brute-responsivity-1e200", "montecarlo-power-1e-200",
             "validate-responsivity-1e-200", "brute-height-1e160", "montecarlo-height-1e160", "sums-height-1e160",
             "brute-height-1e-40", "montecarlo-height-1e-40", "analytic-height-1e-40", "sums-height-1e-40",
-            "validate-height-1e-40",
+            "sums-height-1e-40-under-a-site", "validate-height-1e-40",
         ],
     )
     def test_out_of_range_setting_refused_before_output(

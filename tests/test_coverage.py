@@ -152,6 +152,17 @@ class TestConditionalCoverage:
             # a float argument, here mu / scale, always reaches math.erf
             assert len(calls) == int(called[i, j]) + 1
 
+    @pytest.mark.parametrize("eta_value", [math.inf, 1e308])
+    def test_infinite_or_overflowing_eta_takes_the_limit(self, eta_value):
+        # (eta - mu) / scale is inf, or overflows: erf saturates to 1 and the
+        # mass is erf's limit; these raised "erf: non-finite input" or warned
+        mu, sigma1 = 0.2, np.array([0.05, 1e-10])
+        want = [0.5 * (1.0 + erf(mu / (math.sqrt(2.0) * s))) for s in sigma1]
+        assert conditional_coverage(np.full(2, eta_value), mu, sigma1).tolist() == want
+        assert conditional_coverage(eta_value, mu, 0.05) == want[0]
+        with pytest.raises(ValueError, match="^erf: non-finite input$"):
+            conditional_coverage(np.array([eta_value, math.nan]), mu, 0.05)
+
     def test_unit_interval_fuzz(self, rng):
         # million-triple fuzz on arrays plus a scalar subset, which must
         # agree with the array values

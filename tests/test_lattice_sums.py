@@ -280,6 +280,18 @@ class TestSeries:
             with pytest.raises(ValueError, match=message):
                 series_mode_terms(low, 1.01, (0.0, 0.0))
 
+    def test_mode_terms_outside_float_range_name_the_height(self):
+        # the integral term h^(2 - 2e) overflows: series_mode_terms raised a bare
+        # OverflowError where moment_sums refused the same window by name
+        low = NetworkGeometry(pitch=0.5, height=1e-100, trunc=5)
+        message = r"^geometry\.height = 1e-100 puts the series sums S\(e\) outside the float range \(h/a = 2e-100\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                moment_sums(low, (4.0,), [0.0], [0.0], "series")
+            with pytest.raises(ValueError, match=message):
+                series_mode_terms(low, 4.0, (0.0, 0.0))
+
     def test_invalid_modes(self, geometry):
         for jl in [(-1, 1), (1.5, 1), (math.inf, 1), (math.nan, 1), (1, -2)]:
             with pytest.raises(ValueError, match=r"^mode truncation [jl] must be an integer >= 0"):

@@ -257,6 +257,12 @@ class TestSinr:
         with pytest.raises(ValueError, match=r"^geometry\.height = 1e-100 "):
             sinr(wide, NetworkGeometry(0.5, 1e-100, 5), (0, 0), np.zeros(120))
 
+    def test_interferer_weight_outside_float_range_names_the_height(self, optics):
+        # the PD under the site (1, 0) at h = 1e-40: its (h^2)^(-beta) overflows;
+        # sinr warned twice and returned 0 * inf = nan
+        with pytest.raises(ValueError, match=r"^geometry\.height = 1e-40 puts interferer weights outside"):
+            sinr(optics, NetworkGeometry(0.5, 1e-40, 2), (0.5, 0.0), np.zeros(24))
+
     def test_underflowed_floor_without_interference_is_infinite(self, optics):
         # sigma^2 = 1e-300 A^2 over K^2 P_o^2 R_pd^2 ~ 1e26 is 0 in a double
         quiet = replace(optics, power=1e20, noise_psd=1e-300, bandwidth=1.0)
