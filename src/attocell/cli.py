@@ -17,11 +17,13 @@ Configuration comes from an INI-style file (``key = value`` under
 from a previously written ``manifest.json``, or from nothing at all: the
 defaults reproduce the shipped reference setup (0.5 m pitch, heights 1.5 to
 3.0 m, p in {0.3, 0.5, 0.8}, thresholds -20..10 dB in 0.25 dB steps).
-Flags override file values, and a flag's value is read exactly as the same
-key in a file; each subcommand accepts only the flags whose values it
-reads.  CSV cells are printed with 17 significant digits and '\\n' line
-endings, so identical configurations and seeds produce byte-identical
-files.
+A config file is read once: text that starts with ``{`` is JSON or a
+manifest, anything else INI.  Flags override file values, and a flag's
+value, ``--pos``, ``--jl``, ``--height`` and ``--budget`` included, is read
+by the same parsers as the settings in a file; each subcommand accepts only
+the flags whose values it reads.  CSV cells are printed with 17
+significant digits and '\\n' line endings, so identical configurations and
+seeds produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or usage error (a setting too large
 for memory included), 2 validation failure, 3 I/O error.
@@ -298,16 +300,20 @@ _FIELDS = tuple(_Field("optical", f.name, _number) for f in dataclasses.fields(O
 )
 
 
+def _read(raw, label: str, parse):
+    """``parse(raw)``, a bad value refused as ``label: ...``: the one place a
+    raw value from a file or a flag is read."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
+
+
 def _assign(cfg: RunConfig, given: dict) -> None:
-    """Parse each ``{_Field: (raw, label)}`` value with its field's parser,
-    refusing a bad one as ``label: ...``, and set the values on ``cfg``; the
-    optical values replace its OpticalConfig at once, which checks them."""
-    values = {}
-    for f, (raw, label) in given.items():
-        try:
-            values[f] = f.parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{label}: {exc}") from None
+    """Read each ``{_Field: (raw, label)}`` value with its field's parser and
+    set the values on ``cfg``; the optical values replace its OpticalConfig
+    at once, which checks them."""
+    values = {f: _read(raw, label, f.parse) for f, (raw, label) in given.items()}
     optical = {f.key: v for f, v in values.items() if f.section == "optical"}
     if optical:
         try:
@@ -319,42 +325,38 @@ def _assign(cfg: RunConfig, given: dict) -> None:
             setattr(cfg, f.key, v)
 
 
-def _sections_from_ini(path: Path) -> dict:
+def _sections_from_ini(text: str, path: Path) -> dict:
     # no interpolation: a "%" in a value is literal
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         detail = " ".join(line.strip() for line in str(exc).splitlines())  # one error: line
         raise ConfigError(f"cannot parse config file {path}: {detail}") from None
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def _sections_from_json(path: Path) -> dict:
+def _sections_from_json(text: str, path: Path) -> dict:
+    # text that starts with "{" and parses is an object
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path}: top level must be an object")
     # a manifest embeds the configuration under "config"
-    if "config" in data and isinstance(data["config"], dict):
-        data = data["config"]
-    return data
+    return data["config"] if isinstance(data.get("config"), dict) else data
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Build a RunConfig from an INI or JSON/manifest file (or defaults)."""
+    """Build a RunConfig from an INI or JSON/manifest file (or defaults),
+    read once: text that starts with ``{`` is JSON, anything else INI."""
     cfg = RunConfig()
     if path is None:
         return cfg
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    head = p.read_text(encoding="utf-8", errors="replace").lstrip()
-    sections = _sections_from_json(p) if head.startswith("{") else _sections_from_ini(p)
+    text = p.read_text(encoding="utf-8")
+    sections = (_sections_from_json if text.lstrip().startswith("{") else _sections_from_ini)(text, p)
 
     known = {(f.section, f.key) for f in _FIELDS}
     for section, keys in sections.items():
@@ -581,23 +583,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = commands["sums"]
     sp.add_argument("--pos", default="0,0", help="receiver position 'x,y' in metres")
     sp.add_argument("--jl", default="1,1", help="series mode truncation 'j,l'")
-    sp.add_argument("--height", type=float, help="LED height to use (default: first configured)")
+    sp.add_argument("--height", help="LED height to use (default: first configured)")
     sp = commands["validate"]
-    sp.add_argument("--budget", type=float, default=0.02, help="absolute agreement budget (default 0.02)")
+    sp.add_argument("--budget", default="0.02", help="absolute agreement budget (default 0.02)")
     return parser
 
 
-def _parse_pair(raw: str, what: str, cast):
-    parts = [tok.strip() for tok in raw.split(",")]
+def _parse_pair(raw: str, label: str, parse) -> tuple:
+    """The two halves of ``A,B``, each read by ``parse``."""
+    parts = raw.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"{what}: expected 'A,B', got {raw!r}")
-    try:
-        pair = cast(parts[0]), cast(parts[1])
-    except ValueError:
-        raise ConfigError(f"{what}: expected numbers, got {raw!r}") from None
-    if not all(map(math.isfinite, pair)):
-        raise ConfigError(f"{what}: expected finite numbers, got {raw!r}")
-    return pair
+        raise ConfigError(f"{label}: expected 'A,B', got {raw!r}")
+    return tuple(_read(part.strip(), label, parse) for part in parts)
 
 
 def main(argv=None) -> int:
@@ -612,12 +609,13 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(cfg)
         if args.command == "validate":
-            return run_validate(cfg, args.budget)
-        pos = _parse_pair(args.pos, "--pos", float)
-        jl = _parse_pair(args.jl, "--jl", int)
+            return run_validate(cfg, _read(args.budget, "--budget", _number))
+        pos = _parse_pair(args.pos, "--pos", _number)
+        jl = _parse_pair(args.jl, "--jl", _integer)
         if jl[0] < 0 or jl[1] < 0:
             raise ConfigError(f"--jl: modes must be >= 0, got {args.jl!r}")
-        return run_sums(cfg, pos, jl, args.height)
+        height = None if args.height is None else _read(args.height, "--height", _number)
+        return run_sums(cfg, pos, jl, height)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,9 +4,9 @@ Three real-argument kernels are provided:
 
 * :func:`erf` -- Gaussian error function, for the conditional coverage
   probability and the normal CDF; ``math.erf`` element by element, with a
-  float-or-array contract and a check for non-finite input.  Array
-  elements with |x| >= 6 take ``math.erf``'s own value there, exactly
-  +-1.0, without the call.
+  float-or-array contract and a check for non-finite input.  Values with
+  |x| >= 6 take ``math.erf``'s own value there, exactly +-1.0, without the
+  call.
 * :func:`gamma` -- Euler gamma for positive arguments, for the dual-lattice
   series prefactors; ``math.gamma`` behind a domain check.
 * :func:`bessel_k` -- modified Bessel function of the second kind with real
@@ -40,15 +40,11 @@ def erf(x):
 
     Accepts a float or an ndarray and returns the matching type (an array
     of the input's shape); every value is ``math.erf`` of the input, which
-    for array elements with |x| >= 6 is taken as +-1.0 without the call.
-    Non-finite input raises ``ValueError``.
+    for |x| >= 6 is taken as +-1.0 without the call.  Non-finite input
+    raises ``ValueError``.
     """
-    if not isinstance(x, np.ndarray):
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("erf: non-finite input")
-        return math.erf(x)
-    values = np.asarray(x, dtype=float)
+    array = isinstance(x, np.ndarray)
+    values = np.asarray(x if array else float(x), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("erf: non-finite input")
     flat = values.ravel()  # 1-d even for a 0-d input, so it can be indexed
@@ -56,7 +52,7 @@ def erf(x):
     inner = np.abs(flat) < _ERF_SATURATED
     kept = flat[inner]
     out[inner] = np.fromiter(map(math.erf, kept), float, kept.size)
-    return out.reshape(values.shape)
+    return out.reshape(values.shape) if array else float(out[0])
 
 
 def gamma(x: float) -> float:
@@ -126,9 +122,8 @@ def _temme_gammas(mu: float):
     gammi = _inv_gamma1p(-mu)
     mu2 = mu * mu
     odd = 0.0
-    for k in range(len(_INV_GAMMA1P) - 1, 0, -1):
-        if k % 2 == 1:
-            odd = odd * mu2 + _INV_GAMMA1P[k]
+    for c in reversed(_INV_GAMMA1P[1::2]):
+        odd = odd * mu2 + c
     gam1 = -odd
     gam2 = 0.5 * (gammi + gampl)
     return gam1, gam2, gampl, gammi

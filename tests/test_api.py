@@ -2,7 +2,8 @@
 leave a stale export behind, and every function the benchmark tracer wraps
 still exists. Every file the package writes goes through
 ``cli._write_output``, the shared refusals are formatted in ``model`` alone,
-and ``model._or_inf`` alone reads a float overflow."""
+``model._or_inf`` alone reads a float overflow, and argparse converts no
+flag value."""
 
 import ast
 import importlib
@@ -236,3 +237,26 @@ def test_float_error_guard_sees(source):
 )
 def test_float_error_guard_ignores_others(source):
     assert list(_float_error_readers(ast.parse(source))) == []
+
+
+def _typed_flags(tree: ast.AST):
+    """Line of every ``add_argument`` call in ``tree`` that passes ``type=``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            and any(kw.arg == "type" for kw in node.keywords)
+        ):
+            yield node.lineno
+
+
+def test_no_flag_typed_by_argparse():
+    # a type= reads a flag apart from the settings' parsers, and refuses a
+    # bad value with argparse's usage block in place of one error: line
+    path = Path(attocell.__file__).parent / "cli.py"
+    assert list(_typed_flags(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_typed_flag_guard_sees():
+    assert list(_typed_flags(ast.parse("sp.add_argument('--height', type=float, help='h')"))) == [1]

@@ -21,7 +21,6 @@ from attocell.cli import (
     RunConfig,
     _integer,
     _row_leads,
-    _sections_from_json,
     _write_curve_csv,
     load_config,
     main,
@@ -154,9 +153,12 @@ class TestLoadConfig:
             # int(inf) raises OverflowError, int(nan) ValueError
             ("bad.json", '{"geometry": {"trunc": Infinity}}', "geometry.trunc: expected an integer, got inf"),
             ("bad.json", '{"thinning": {"seed": NaN}}', "thinning.seed: expected an integer, got nan"),
+            # only text that starts with "{" is read as JSON: a list is an INI section header
+            ("list.json", "[1, 2]", "unknown config section [1, 2]"),
         ],
         ids=["ini-power", "ini-theta-stop-below-start", "ini-no-section-header", "json-malformed",
-             "json-section-not-object", "json-fractional-trunc", "json-infinite-trunc", "json-nan-seed"],
+             "json-section-not-object", "json-fractional-trunc", "json-infinite-trunc", "json-nan-seed",
+             "json-list-read-as-ini"],
     )
     def test_bad_file_is_one_error_line(self, tmp_path, capsys, name, text, error):
         path = tmp_path / name
@@ -167,13 +169,6 @@ class TestLoadConfig:
         assert captured.out == "" and not out.exists()
         [line] = captured.err.splitlines()
         assert line.startswith("error: " + error.format(path=path))
-
-    def test_json_top_level_must_be_an_object(self, tmp_path):
-        # load_config sends only text that starts with "{" here
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))}: top level must be an object$"):
-            _sections_from_json(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -615,6 +610,22 @@ class TestFlags:
         assert captured.out == ""
         assert captured.err == "error: OverflowError: (34, 'Numerical result out of range')\n"
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            # read by _number: one error: line, not argparse's usage block
+            (("sums", "--height", "abc"), "error: --height: expected a number, got 'abc'"),
+            (("validate", "--budget", "abc"), "error: --budget: expected a number, got 'abc'"),
+            # each half of --jl is an integer setting's literal
+            (("sums", "--jl", "1.5,1"), "error: --jl: expected an integer, got '1.5'"),
+        ],
+    )
+    def test_bad_value_is_one_error_line(self, tiny_config, capsys, argv, error):
+        command, *flag = argv
+        assert run_cli(command, "--config", str(tiny_config), *flag) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [error]
+
     def test_usage_error_exits_config(self):
         # exit 2 belongs to a failed validate
         assert run_cli("sweep", "--trials", "abc") == EXIT_CONFIG
@@ -897,13 +908,18 @@ class TestSums:
 
     @pytest.mark.parametrize("pos", ["nan,0", "0.1,inf"])
     def test_non_finite_pos(self, tiny_config, capsys, pos):
+        # model.position_xy is the one finiteness rule for a position
         assert run_cli("sums", "--config", str(tiny_config), "--pos", pos) == EXIT_CONFIG
-        assert "--pos" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        x, y = map(float, pos.split(","))
+        assert captured.out == ""
+        error = f"error: position ({x!r}, {y!r}): each coordinate and its square must be finite"
+        assert captured.err.splitlines() == [error]
 
     @pytest.mark.parametrize(
         "flag,raw,error",
         [
-            ("--pos", "a,b", "error: --pos: expected numbers, got 'a,b'"),
+            ("--pos", "a,b", "error: --pos: expected a number, got 'a'"),
             ("--jl", "1,-1", "error: --jl: modes must be >= 0, got '1,-1'"),
             # its square overflows: this printed a numpy RuntimeWarning, the
             # outside-the-attocell warning and an error blaming the height
