@@ -25,8 +25,6 @@ from .model import (
     TABLE_DEFAULT_OPTICS,
     gain_constant,
     lambertian_order,
-    lattice_sites,
-    sinr,
 )
 from .montecarlo import (
     CltDiagnostics,
@@ -59,8 +57,6 @@ __all__ = [
     "TABLE_DEFAULT_OPTICS",
     "gain_constant",
     "lambertian_order",
-    "lattice_sites",
-    "sinr",
     "CltDiagnostics",
     "ThinningModel",
     "clt_diagnostics",

@@ -47,7 +47,7 @@ from . import __version__
 from .coverage import CoverageCurve, coverage_curves, db_to_linear
 from .lattice_sums import moment_sums, series_mode_terms
 from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, _or_inf, position_xy, tail_bound
-from .montecarlo import ThinningModel, clt_diagnostics, empirical_coverage_curves
+from .montecarlo import _MAX_SAMPLED_TRUNC, ThinningModel, clt_diagnostics, empirical_coverage_curves
 from .specfun import gamma
 
 EXIT_OK = 0
@@ -126,6 +126,10 @@ def _non_empty(v) -> str | None:
 
 def _at_least(n: int):
     return lambda v: None if v >= n else f"must be >= {n}, got {v!r}"
+
+
+def _at_most(n: int):
+    return lambda v: None if v <= n else f"must be <= {n}, got {v!r}"
 
 
 def _each(ok, complaint: str):
@@ -225,7 +229,7 @@ class RunConfig:
         "--quad-order", "tensor quadrature order per axis (analytic)"))
     mc_quad_order: int = _setting("sweep", 16, _integer, _at_least(1), flag=_Flag(
         "--mc-quad-order", "tensor quadrature order per axis for Monte Carlo comparisons", _CURVES))
-    mc_trunc: int = _setting("thinning", 40, _integer, _at_least(1), flag=_Flag(
+    mc_trunc: int = _setting("thinning", 40, _integer, _at_least(1), _at_most(_MAX_SAMPLED_TRUNC), flag=_Flag(
         "--mc-trunc", "lattice truncation for Monte Carlo sampling", _CURVES))
     jobs: int = _setting("sweep", 1, _integer, _at_least(1), flag=_Flag(
         "--jobs", "worker processes for Monte Carlo nodes (at most the CPU count)", _CURVES))
@@ -355,7 +359,10 @@ def load_config(path: str | None) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot parse config file {p}: {exc}") from None
     sections = (_sections_from_json if text.lstrip().startswith("{") else _sections_from_ini)(text, p)
 
     known = {(f.section, f.key) for f in _FIELDS}

@@ -24,11 +24,12 @@ The line-of-sight electrical quantities implemented below:
 * electrical SINR        ``P_o^2 G_0^2 R_pd^2 /
   (sum_i alpha_i P_o^2 G_i^2 R_pd^2 + sigma^2)``
 
-``sinr`` evaluates the SINR divided through by K^2 P_o^2 R_pd^2: the signal
-(z^2 + h^2)^(-beta), whose one home is ``_tagged_term``, over the interference
-C plus the noise floor sigma^2 / (K^2 P_o^2 R_pd^2), as ``coverage.eta`` does.
-These steep powers can leave the float range: ``_or_inf`` is the one home that
-reads an overflow as inf, and each caller refuses it with a ``ValueError``.
+``coverage.eta`` encodes the SINR's threshold event gamma > theta divided
+through by K^2 P_o^2 R_pd^2: the signal (z^2 + h^2)^(-beta), whose one home
+is ``_tagged_term``, against the interference C plus the noise floor
+sigma^2 / (K^2 P_o^2 R_pd^2) of ``_noise_floor``.  These steep powers can
+leave the float range: ``_or_inf`` is the one home that reads an overflow
+as inf, and each caller refuses it with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
     "TABLE_DEFAULT_OPTICS",
     "lambertian_order",
     "gain_constant",
-    "sinr",
-    "lattice_sites",
     "interference_weights",
     "tail_bound",
 ]
@@ -208,26 +207,13 @@ TABLE_DEFAULT_OPTICS = OpticalConfig(
 )
 
 
-def lattice_sites(trunc: int) -> np.ndarray:
-    """Interferer lattice indices (u, v), |u|,|v| <= trunc, origin excluded.
-
-    Returns a new array of shape ((2 trunc + 1)^2 - 1, 2) in row-major
-    order (u slow, v fast).  This ordering is the contract for every
-    thinning realization: ``alphas[i]`` refers to ``lattice_sites(trunc)[i]``.
-    """
-    trunc = _check_integer(trunc, "trunc", 1)
-    axis = np.arange(-trunc, trunc + 1, dtype=np.int64)
-    u, v = np.meshgrid(axis, axis, indexing="ij")
-    return np.delete(np.column_stack([u.ravel(), v.ravel()]), u.size // 2, axis=0)
-
-
 def _site_bases(geometry: NetworkGeometry, zx: float, zy: float, out=None) -> np.ndarray:
     """D^2 + h^2 = (u a + z_x)^2 + (v a + z_y)^2 + h^2, the base of every
     weight, over |u|, |v| <= trunc as a (2 trunc + 1)^2 grid with u down and
     v across, written into ``out`` (fresh when None).  Each axis is squared
     once and the grid is their outer sum plus h^2.  The tagged LED's centre
     entry is +inf, so its weight is 0; raveled without the centre, the grid
-    is in ``lattice_sites`` order."""
+    is in the site order of ``interference_weights`` (u slow, v fast)."""
     t = int(geometry.trunc)
     axis = np.arange(-t, t + 1, dtype=np.float64) * geometry.pitch
     dx = axis + zx
@@ -283,8 +269,9 @@ def _check_exponent(exponent: float) -> float:
 
 def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.ndarray:
     """Per-site weights (D_i^2 + h^2)^(-exponent) over the lattice truncated
-    at ``geometry.trunc``, in ``lattice_sites`` order; with exponent beta
-    they are the interferers' squared gains over K^2."""
+    at ``geometry.trunc``, row-major over |u|, |v| <= trunc (u slow, v fast)
+    with the origin left out; with exponent beta they are the interferers'
+    squared gains over K^2."""
     e = _check_exponent(exponent)
     zx, zy = position_xy(pos)
     base = _site_bases(geometry, zx, zy).ravel()
@@ -292,7 +279,7 @@ def interference_weights(geometry: NetworkGeometry, exponent: float, pos) -> np.
 
 
 def _tagged_term(geometry: NetworkGeometry, e: float, zx, zy):
-    """The tagged LED's term (z^2 + h^2)^(-e) of eta, ``sinr`` and the series at
+    """The tagged LED's term (z^2 + h^2)^(-e) of eta and the series at
     (zx, zy), floats or arrays; a ``ValueError`` naming the height if not finite."""
     term = _or_inf(lambda: (zx * zx + zy * zy + geometry.height**2) ** (-e))
     if not np.all(np.isfinite(term)):
@@ -301,41 +288,6 @@ def _tagged_term(geometry: NetworkGeometry, e: float, zx, zy):
             f"outside the float range (e = {e:.6g})"
         )
     return term
-
-
-def sinr(
-    optical: OpticalConfig,
-    geometry: NetworkGeometry,
-    pos,
-    alphas: np.ndarray,
-) -> float:
-    """Electrical SINR at the PD for one thinning realization.
-
-    ``alphas`` assigns 0/1 to every site of ``lattice_sites(geometry.trunc)``
-    in that exact order.  The tagged LED at the origin always transmits; the
-    realization only controls the interferers.  The SINR is evaluated
-    divided through by K^2 P_o^2 R_pd^2, over ``coverage.eta``'s noise floor,
-    so it refuses what ``coverage`` refuses, and interferer weights outside
-    the float range.  Where the floor underflows to 0 and no interferer
-    reaches the PD, it is +inf (0 when the signal underflows too), as C < eta.
-    """
-    alphas = np.asarray(alphas)
-    n_sites = (2 * geometry.trunc + 1) ** 2 - 1
-    if alphas.shape != (n_sites,):
-        raise ValueError(
-            f"alphas must have shape ({n_sites},) matching lattice_sites({geometry.trunc})"
-        )
-    zx, zy = position_xy(pos)
-    floor = _noise_floor(optical, geometry)
-    beta = optical.beta
-    signal = _tagged_term(geometry, beta, zx, zy)
-    weights = _or_inf(lambda: interference_weights(geometry, beta, (zx, zy)))
-    if not np.all(np.isfinite(weights)):
-        raise ValueError(f"geometry.height = {geometry.height!r} puts interferer weights outside the float range")
-    interference = float(np.dot(alphas.astype(float), weights))
-    if interference + floor == 0.0:
-        return math.inf if signal > 0.0 else 0.0
-    return signal / (interference + floor)
 
 
 def tail_bound(geometry: NetworkGeometry, exponent: float) -> float:

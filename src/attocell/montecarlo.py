@@ -95,6 +95,9 @@ __all__ = [
 # spinning between calls, so run times jumped with the load on the other CPU
 _SMALL_GEMM = 100**3
 
+# the most rings a lattice is sampled at, under 2^23 sites (see the module docstring)
+_MAX_SAMPLED_TRUNC = 1447
+
 
 @dataclass(frozen=True)
 class ThinningModel:
@@ -133,10 +136,11 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 def _sampled_lattice(geometry: NetworkGeometry, trunc: int | None) -> NetworkGeometry:
     """``geometry`` truncated at ``trunc`` rings for sampling (None keeps its
-    own); past 1447 rings (2^23 sites) a ``ValueError`` naming ``geometry.trunc``."""
+    own); past ``_MAX_SAMPLED_TRUNC`` rings (2^23 sites) a ``ValueError`` naming
+    ``geometry.trunc``."""
     sampled = _with_trunc(geometry, trunc)
-    if sampled.trunc > 1447:
-        raise ValueError(f"geometry.trunc must be <= 1447 for sampling, got {sampled.trunc!r}")
+    if sampled.trunc > _MAX_SAMPLED_TRUNC:
+        raise ValueError(f"geometry.trunc must be <= {_MAX_SAMPLED_TRUNC} for sampling, got {sampled.trunc!r}")
     return sampled
 
 

@@ -2,8 +2,8 @@
 leave a stale export behind, and every function the benchmark tracer wraps
 still exists. Every file the package writes goes through
 ``cli._write_output``, the shared refusals are formatted in ``model`` alone,
-``model._or_inf`` alone reads a float overflow, and argparse converts no
-flag value."""
+``model._or_inf`` alone reads a float overflow, argparse converts no flag
+value, and the tests' oracles import nothing from the package."""
 
 import ast
 import importlib
@@ -122,6 +122,33 @@ def test_writer_guard_sees(source):
 @pytest.mark.parametrize("source", ["open(p)", "open(p, 'rb')", "p.open()", "p.read_text()", "io.open(p, 'r')"])
 def test_writer_guard_ignores_reads(source):
     assert list(_writers(ast.parse(source))) == []
+
+
+def _package_imports(tree: ast.AST):
+    """Line of every ``import attocell...`` or ``from attocell... import`` in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m == "attocell" or m.startswith("attocell.") for m in modules):
+            yield node.lineno
+
+
+def test_oracles_stay_independent():
+    # an oracle that borrows the code it checks agrees with it by construction
+    path = Path(__file__).with_name("oracles.py")
+    assert list(_package_imports(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+@pytest.mark.parametrize(
+    "source", ["import attocell", "import math, attocell.model as m", "from attocell.coverage import eta"]
+)
+def test_oracle_guard_sees(source):
+    assert list(_package_imports(ast.parse(source))) == [1]
+
 
 
 SHARED_REFUSALS = (

@@ -170,6 +170,15 @@ class TestLoadConfig:
         [line] = captured.err.splitlines()
         assert line.startswith("error: " + error.format(path=path))
 
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad8.ini"
+        path.write_bytes(b"[geometry]\npitch = 0.5 \xff\n")
+        assert run_cli("sums", "--config", str(path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot parse config file {path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "nope.ini"))
@@ -626,9 +635,10 @@ class TestFlags:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.splitlines() == [error]
 
-    def test_usage_error_exits_config(self):
-        # exit 2 belongs to a failed validate
-        assert run_cli("sweep", "--trials", "abc") == EXIT_CONFIG
+    def test_usage_error_exits_config(self, capsys):
+        # argparse exits 2 on a missing subcommand; exit 2 belongs to a failed validate
+        assert run_cli() == EXIT_CONFIG
+        assert "the following arguments are required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sums", "sweep"])
     def test_gamma_overflow_is_an_error(self, tmp_path, capsys, command):
@@ -767,8 +777,9 @@ class TestFlags:
             ("validate", ("theta_db_stop = -4", "theta_db_stop = 1e308"), [], "sweep.theta_db_stop: 1e+308 "),
             ("sweep", ("theta_db_step = 2", "theta_db_step = 1e-300"), [], "sweep.theta_db_stop: -4.0 "),
             # past 1447 rings a float32 limb of the sampled weights keeps no bit
-            ("sweep", ("", ""), ["--methods", "montecarlo", "--mc-trunc", "1448"], "geometry.trunc must be <= 1447 "),
-            ("validate", ("", ""), ["--mc-trunc", "1448"], "geometry.trunc must be <= 1447 "),
+            ("sweep", ("", ""), ["--methods", "montecarlo", "--mc-trunc", "1448"],
+             "thinning.mc_trunc: must be <= 1447, got 1448"),
+            ("validate", ("", ""), ["--mc-trunc", "1448"], "thinning.mc_trunc: must be <= 1447, got 1448"),
             # the tail bound is finite at S(beta) and overflows at S(2 beta):
             # these wrote p_c = 0 at every threshold and exited 0
             ("sweep", ("pitch = 0.5", "pitch = 1e-30"),

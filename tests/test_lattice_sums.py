@@ -19,7 +19,8 @@ from attocell import (
 )
 import attocell.lattice_sums
 from attocell.lattice_sums import SumResult, series_mode_terms
-from attocell.model import interference_weights, lattice_sites, tail_bound
+from attocell.model import interference_weights, tail_bound
+from oracles import lattice_indices
 
 # row-wise fsum at the reference config, pinned by the
 # independent row-major summation below agreeing to 1e-13
@@ -28,12 +29,12 @@ SV_CORNER_REFERENCE = 0.005158622238419826  # as above at z=(0.25, 0.25), expone
 
 
 def site_weights(geometry, exponent, pos, trunc):
-    """Per-site weights written out from the integer site table, in
-    ``lattice_sites`` order.  An integer exponent e takes the library's
+    """Per-site weights written out from the oracle's integer site table, in
+    its row-major order.  An integer exponent e takes the library's
     recipe: 1 / base, then per binary digit of e after the leading one a
     squaring, followed by a division by the base where the digit is 1.
     Any other exponent takes ``**``."""
-    sites = lattice_sites(trunc)
+    sites = lattice_indices(trunc)
     dx = sites[:, 0] * geometry.pitch + pos[0]
     dy = sites[:, 1] * geometry.pitch + pos[1]
     base = dx * dx + dy * dy + geometry.height**2
@@ -120,10 +121,6 @@ class TestBruteForce:
                 assert np.array_equal(weights, site_weights(geometry, e, pos, trunc))
 
     def test_cached_columns_stay_unchanged(self, geometry):
-        sites = lattice_sites(geometry.trunc)
-        expected_sites = sites.copy()
-        sites[:] = 0
-        assert np.array_equal(lattice_sites(geometry.trunc), expected_sites)
         before = sm_brute(geometry, 4.0, (0.1, 0.05)).value
         first = interference_weights(geometry, 4.0, (0.1, 0.05))
         second = interference_weights(geometry, 4.0, (0.1, 0.05))
@@ -356,7 +353,7 @@ class TestMomentSums:
     def test_brute_keeps_two_site_arrays(self, geometry):
         # one grid buffer for D^2 + h^2 and one for the weights, whatever
         # the number of nodes and exponents
-        sites = lattice_sites(geometry.trunc).shape[0]
+        sites = lattice_indices(geometry.trunc).shape[0]
         zx, zy = np.linspace(-0.25, 0.25, 10), np.linspace(0.25, -0.2, 10)
         tracemalloc.start()
         try:

@@ -1,4 +1,4 @@
-"""Geometry, configuration and pointwise channel/SINR quantities."""
+"""Geometry, configuration, site weights and the SINR event that eta encodes."""
 
 import dataclasses
 import math
@@ -20,11 +20,10 @@ from attocell import (
     eta,
     gain_constant,
     lambertian_order,
-    lattice_sites,
-    sinr,
     sm_brute,
 )
 from attocell.model import _site_bases, _site_weights, interference_weights, tail_bound
+from oracles import lattice_indices, sinr_reference
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as NUMPY_CPU_FEATURES
@@ -86,7 +85,7 @@ class TestConfigs:
             NetworkGeometry(pitch=0.5, height=-1.0)
         with pytest.raises(ValueError):
             NetworkGeometry(pitch=0.5, height=1.5, trunc=0)
-        # every route squares the height (the eta grid, sinr, the site bases):
+        # every route squares the height (the eta grid, the site bases):
         # 1.3e154 squares to 1.69e308, 1.4e154 past the float range
         assert NetworkGeometry(pitch=0.5, height=1.3e154).height == 1.3e154
         with pytest.raises(ValueError, match=r"^geometry\.height = 1\.4e\+154 has a square outside the float range$"):
@@ -123,21 +122,24 @@ class TestConfigs:
 
 
 class TestLatticeSites:
-    def test_shape_and_origin_exclusion(self):
-        sites = lattice_sites(3)
-        assert sites.shape == ((2 * 3 + 1) ** 2 - 1, 2)
-        assert not np.any((sites[:, 0] == 0) & (sites[:, 1] == 0))
-        assert np.max(np.abs(sites)) == 3
+    def test_shape_and_origin_exclusion(self, optics):
+        # the tagged LED's site is left out: no weight is its (z^2 + h^2)^(-e)
+        geometry = NetworkGeometry(0.5, 1.5, 3)
+        weights = interference_weights(geometry, optics.beta, (0.0, 0.0))
+        assert weights.shape == ((2 * 3 + 1) ** 2 - 1,)
+        assert weights.max() < geometry.height ** (-2 * optics.beta)
 
     def test_row_major_order(self):
-        sites = lattice_sites(1)
-        expected = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-        assert [tuple(s) for s in sites] == expected
+        # site (u, v) at offset (u a + z_x, v a + z_y), u slow, v fast
+        geometry = NetworkGeometry(0.5, 1.5, 1)
+        pos = (0.1, 0.03)
+        sites = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+        want = [((u * 0.5 + pos[0]) ** 2 + (v * 0.5 + pos[1]) ** 2 + 1.5**2) ** -4.5 for u, v in sites]
+        assert interference_weights(geometry, 4.5, pos) == pytest.approx(want, rel=1e-14)
+        assert [tuple(s) for s in lattice_indices(1)] == sites
 
     @pytest.mark.parametrize("trunc", [0, -1, 2.5, math.nan, math.inf])
     def test_truncation_must_be_a_positive_integer(self, trunc):
-        with pytest.raises(ValueError, match=rf"^trunc must be an integer >= 1, got {trunc!r}$"):
-            lattice_sites(trunc)
         with pytest.raises(ValueError, match=rf"^geometry\.trunc must be an integer >= 1, got {trunc!r}$"):
             NetworkGeometry(0.5, 1.5, trunc)
 
@@ -150,126 +152,70 @@ class TestPosition:
             interference_weights(geometry, 4.0, pos)
         with pytest.raises(ValueError, match=message):
             eta(optics, geometry, pos, 1.0)
-        with pytest.raises(ValueError, match=message):
-            sinr(optics, geometry, pos, np.zeros(lattice_sites(geometry.trunc).shape[0]))
-
-
-def _noise_limited_snr(optics, geometry, pos):
-    zx, zy = pos
-    k = gain_constant(optics, geometry)
-    g0_sq = k**2 * (zx * zx + zy * zy + geometry.height**2) ** (-optics.beta)
-    return optics.power**2 * g0_sq * optics.responsivity**2 / (optics.noise_psd * optics.bandwidth)
 
 
 class TestSinr:
+    """The SINR event gamma > theta, which ``eta`` encodes as C < eta,
+    against the SINR written out in ``oracles.sinr_reference``."""
+
     def setup_method(self):
         self.geometry = NetworkGeometry(pitch=0.5, height=1.5, trunc=6)
         self.n_sites = (2 * 6 + 1) ** 2 - 1
 
     def test_no_interferers_is_noise_limited(self, optics):
-        alphas = np.zeros(self.n_sites)
-        got = sinr(optics, self.geometry, (0.1, -0.05), alphas)
-        assert got == pytest.approx(_noise_limited_snr(optics, self.geometry, (0.1, -0.05)), rel=1e-12)
+        # without interferers the PD is covered while theta is below its SNR
+        pos = (0.1, -0.05)
+        snr = sinr_reference(optics, self.geometry, pos, np.zeros(self.n_sites))
+        floor = -eta(optics, self.geometry, pos, 1e30)
+        assert abs(eta(optics, self.geometry, pos, snr)) <= 1e-12 * floor
+        below, above = (eta(optics, self.geometry, pos, snr * f) for f in (1 - 1e-9, 1 + 1e-9))
+        assert below > 0.0 > above
 
-    def test_full_interference_lowers_sinr(self, optics):
-        ones = np.ones(self.n_sites)
-        zeros = np.zeros(self.n_sites)
-        assert sinr(optics, self.geometry, (0.0, 0.0), ones) < sinr(
-            optics, self.geometry, (0.0, 0.0), zeros
-        )
-
-    def test_full_interference_is_lower_bound(self, optics, rng):
-        ones = np.ones(self.n_sites)
-        floor = sinr(optics, self.geometry, (0.13, 0.21), ones)
-        for _ in range(25):
-            alphas = (rng.random(self.n_sites) < 0.5).astype(float)
-            assert sinr(optics, self.geometry, (0.13, 0.21), alphas) >= floor
-
-    def test_dihedral_symmetry(self, optics, rng):
-        sites = lattice_sites(self.geometry.trunc)
-        index = {tuple(s): i for i, s in enumerate(sites)}
-        alphas = (rng.random(self.n_sites) < 0.4).astype(float)
-        pos = (0.17, 0.06)
-        base = sinr(optics, self.geometry, pos, alphas)
-        transforms = [
-            (lambda u, v: (-u, v), lambda x, y: (-x, y)),
-            (lambda u, v: (u, -v), lambda x, y: (x, -y)),
-            (lambda u, v: (v, u), lambda x, y: (y, x)),
-            (lambda u, v: (-v, -u), lambda x, y: (-y, -x)),
-        ]
-        for site_map, pos_map in transforms:
-            permuted = np.empty_like(alphas)
-            for i, (u, v) in enumerate(sites):
-                permuted[index[site_map(u, v)]] = alphas[i]
-            assert sinr(optics, self.geometry, pos_map(*pos), permuted) == pytest.approx(
-                base, rel=1e-12
-            )
-
-    def test_threshold_event_matches_eta(self, optics, rng):
-        # gamma(z) > theta if and only if C < eta(z, theta)
-        pos = (0.12, -0.2)
-        sites = lattice_sites(self.geometry.trunc)
-        dx = sites[:, 0] * self.geometry.pitch + pos[0]
-        dy = sites[:, 1] * self.geometry.pitch + pos[1]
-        weights = (dx * dx + dy * dy + self.geometry.height**2) ** (-optics.beta)
-        for theta in (0.05, 0.2213, 1.0, 5.0):
-            e = eta(optics, self.geometry, pos, theta)
-            for _ in range(40):
-                alphas = (rng.random(self.n_sites) < 0.5).astype(float)
-                interference = float(alphas @ weights)
-                gamma = sinr(optics, self.geometry, pos, alphas)
-                assert (gamma > theta) == (interference < e)
-
-    def test_wrong_shape_raises(self, optics):
-        with pytest.raises(ValueError):
-            sinr(optics, self.geometry, (0.0, 0.0), np.zeros(5))
+    def test_threshold_event_matches_eta(self, optics):
+        # gamma(z) > theta if and only if C < eta(z, theta); each realization
+        # thins at a p of its own, so the SINR spans full interference to noise
+        rng = np.random.default_rng(20250809)
+        for pos in ((0.12, -0.2), (0.0, 0.0), (0.25, 0.25)):
+            weights = interference_weights(self.geometry, optics.beta, pos)
+            realizations = [(rng.random(self.n_sites) < p).astype(float) for p in rng.random(40)]
+            for theta in (0.15, 0.2213, 0.5, 1.0):
+                e = eta(optics, self.geometry, pos, theta)
+                covered = [sinr_reference(optics, self.geometry, pos, alphas) > theta for alphas in realizations]
+                assert covered == [float(alphas @ weights) < e for alphas in realizations]
+                assert any(covered) and not all(covered)
 
     # (power * responsivity) ** 2 overflows at either value
     @pytest.mark.parametrize("field,value", [("power", 1e160), ("responsivity", 1e200)])
     def test_out_of_range_factor_names_the_field(self, optics, field, value):
+        # with a 1e200 m^2 PD at h = 1e-40 the tagged term overflows too: the
+        # noise floor is formed first, so its factor is the one named
+        bad = replace(optics, pd_area=1e200, **{field: value})
         message = rf"^optical\.{field} = {re.escape(repr(value))} puts the noise floor's divisor K\^2 P_o\^2 R_pd\^2"
         with pytest.raises(ValueError, match=message):
-            sinr(replace(optics, **{field: value}), self.geometry, (0.0, 0.0), np.zeros(self.n_sites))
+            eta(bad, NetworkGeometry(0.5, 1e-40, 5), (0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match=r"^geometry\.height = 1e-40 puts the tagged LED's"):
+            eta(replace(optics, pd_area=1e200), NetworkGeometry(0.5, 1e-40, 5), (0.0, 0.0), 1.0)
 
     def test_in_range_values_unchanged_by_the_check(self, optics):
-        # sinr's formula written out: signal / (C + sigma^2 / (K^2 P_o^2 R_pd^2)),
-        # the divisor formed one factor at a time as eta's noise floor forms it
-        rng = np.random.default_rng(3)
-        pos = (0.13, -0.07)
-        weights = interference_weights(self.geometry, optics.beta, pos)
-        divisor = gain_constant(optics, self.geometry) ** 2 * optics.power**2 * optics.responsivity**2
-        floor = optics.noise_psd * optics.bandwidth / divisor
-        signal = (pos[0] * pos[0] + pos[1] * pos[1] + self.geometry.height**2) ** (-optics.beta)
-        for _ in range(10):
-            alphas = (rng.random(self.n_sites) < 0.5).astype(float)
-            want = signal / (float(np.dot(alphas, weights)) + floor)
-            assert sinr(optics, self.geometry, pos, alphas) == want
+        # at theta = 1e30 eta is minus the noise floor sigma^2 / (K^2 P_o^2 R_pd^2),
+        # its divisor formed one factor at a time in that order
+        for power, responsivity in ((1.0, 0.1), (3.7, 0.61), (1e-3, 2.9)):
+            scaled = replace(optics, power=power, responsivity=responsivity)
+            divisor = gain_constant(scaled, self.geometry) ** 2 * power**2 * responsivity**2
+            floor = optics.noise_psd * optics.bandwidth / divisor
+            assert eta(scaled, self.geometry, (0.13, -0.07), 1e30) == -floor
 
     def test_square_of_power_times_responsivity_may_overflow(self, optics):
         # (P_o R_pd)^2 = 1e320, but with a 1e-12 m^2 PD K^2 P_o^2 R_pd^2 is in range
         big = replace(optics, power=1e80, responsivity=1e80, pd_area=1e-12)
-        got = sinr(big, NetworkGeometry(0.5, 1.5, 5), (0.0, 0.0), np.zeros(120))
-        assert isinstance(got, float) and math.isfinite(got) and got > 0.0
+        got = eta(big, NetworkGeometry(0.5, 1.5, 5), (0.0, 0.0), 1.0)
+        assert got == pytest.approx(1.5 ** (-2 * optics.beta), rel=1e-12)
 
     def test_tagged_term_outside_float_range_names_the_height(self, optics):
         # a wide beam keeps K^2 in range at h = 1e-100, where (h^2)^(-beta) overflows
         wide = replace(optics, half_angle=1.3)
-        with pytest.raises(ValueError, match=r"^geometry\.height = 1e-100 "):
-            sinr(wide, NetworkGeometry(0.5, 1e-100, 5), (0, 0), np.zeros(120))
-
-    def test_interferer_weight_outside_float_range_names_the_height(self, optics):
-        # the PD under the site (1, 0) at h = 1e-40: its (h^2)^(-beta) overflows;
-        # sinr warned twice and returned 0 * inf = nan
-        with pytest.raises(ValueError, match=r"^geometry\.height = 1e-40 puts interferer weights outside"):
-            sinr(optics, NetworkGeometry(0.5, 1e-40, 2), (0.5, 0.0), np.zeros(24))
-
-    def test_underflowed_floor_without_interference_is_infinite(self, optics):
-        # sigma^2 = 1e-300 A^2 over K^2 P_o^2 R_pd^2 ~ 1e26 is 0 in a double
-        quiet = replace(optics, power=1e20, noise_psd=1e-300, bandwidth=1.0)
-        got = sinr(quiet, self.geometry, (0.0, 0.0), np.zeros(self.n_sites))
-        assert got == math.inf
-        assert eta(quiet, self.geometry, (0.0, 0.0), 1e300) > 0.0  # so C = 0 < eta at any theta
-        assert sinr(quiet, self.geometry, (0.0, 0.0), np.ones(self.n_sites)) < math.inf
+        with pytest.raises(ValueError, match=r"^geometry\.height = 1e-100 puts the tagged LED's"):
+            eta(wide, NetworkGeometry(0.5, 1e-100, 5), (0, 0), 1.0)
 
 
 class TestTailBound:
@@ -311,7 +257,7 @@ POSITIONS = ((0.0, 0.0), (0.13, -0.07), (0.25, 0.25))
 
 
 def site_bases(geometry, pos):
-    """D^2 + h^2 in ``lattice_sites`` order: the grid raveled, centre dropped."""
+    """D^2 + h^2 in site order: the grid raveled, centre dropped."""
     grid = _site_bases(geometry, *pos)
     assert grid.shape == (2 * geometry.trunc + 1,) * 2
     assert grid[geometry.trunc, geometry.trunc] == np.inf
