@@ -232,7 +232,7 @@ class RunConfig:
     mc_trunc: int = _setting("thinning", 40, _integer, _at_least(1), _at_most(_MAX_SAMPLED_TRUNC), flag=_Flag(
         "--mc-trunc", "lattice truncation for Monte Carlo sampling", _CURVES))
     jobs: int = _setting("sweep", 1, _integer, _at_least(1), flag=_Flag(
-        "--jobs", "worker processes for Monte Carlo nodes (at most the CPU count)", _CURVES))
+        "--jobs", "Monte Carlo jobs, two node threads each (at most the CPU and node counts)", _CURVES))
     out_dir: str = _setting("output", "attocell_out", _text, _non_empty, flag=_Flag(
         "--out", "output directory"))
 

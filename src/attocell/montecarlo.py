@@ -46,21 +46,20 @@ float64 sum of the fixed-point weights.  The rounding moves C by at
 most n * 2^-53 * S_m for n sites (to first order), where S_m = sum_i w_i
 over the sampled lattice.  Internally the words are drawn, compared and
 summed a slice of trials at a time, as many as keep the slice's product
-within OpenBLAS's small-matrix sgemm (see ``_SMALL_GEMM``), which also
-keeps the words and the mask in cache and bounds memory in the trial
-count.  While a slice is compared and summed, one helper thread draws
-the next slice's words, one draw in flight at a time and nothing past
-the last slice, so the words are the same, in the same order, and the
-stream ends where a serial loop leaves it; the helper is joined before
-the loop returns or raises.  Slicing and the helper only group and time
-the words, so they change no word and no result.
+within half of OpenBLAS's small-matrix sgemm (see ``_SMALL_GEMM``), which
+also keeps the words and the mask in cache and bounds memory in the trial
+count.  ``empirical_coverage_curves`` runs whole nodes on threads, two per
+job, never more than the CPUs or the nodes; each thread draws, compares
+and counts its own node's stream, and every thread is joined before the
+call returns or raises.  Slicing and threads only group and time the
+words, so they change no word and no result.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -92,7 +91,9 @@ __all__ = [
 # kernels).  That kernel runs on the calling thread; a larger product goes to
 # the blocked kernel, which for a mask against a few limbs was 2x slower per
 # trial on a 2-vCPU AMD EPYC and wakes OpenBLAS worker threads that keep
-# spinning between calls, so run times jumped with the load on the other CPU
+# spinning between calls, so run times jumped with the load on the other CPU.
+# A slice takes half of it: the two threads of one job then hold the words
+# and mask of one such slice between them
 _SMALL_GEMM = 100**3
 
 # the most rings a lattice is sampled at, under 2^23 sites (see the module docstring)
@@ -171,7 +172,7 @@ def _limbs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
     """Yield, for each slice of trials in order, as many as keep the
-    slice's product within ``_SMALL_GEMM`` (at least one), C under
+    slice's product within half of ``_SMALL_GEMM`` (at least one), C under
     every p in ``p_list`` as one array of shape (len(p_list), rows).  One
     32-bit word per (trial, site) of ``rng``, fresh from ``substream``, is
     drawn once and shared across the p grid, and a site transmits when its
@@ -182,29 +183,22 @@ def _thinned_sums(rng: np.random.Generator, w: np.ndarray, p_list, trials: int):
     limbs, place, shift = _limbs(w)
     # u = (r >> 8) 2^-24 < float32(p)  <=>  r < ceil(float32(p) 2^24) 2^8
     cuts = [math.ceil(float(np.float32(p)) * 2**24) << 8 for p in p_list]
-    slice_rows = max(1, min(trials, _SMALL_GEMM // (n * limbs.shape[1])))
+    slice_rows = max(1, min(trials, _SMALL_GEMM // (2 * n * limbs.shape[1])))
     mask = np.empty((slice_rows, n), dtype=np.float32)
     sums = np.empty((len(cuts), slice_rows, limbs.shape[1]), dtype=np.float32)
     draw = rng.bit_generator.random_raw
-    # one FIFO helper draws slice i + 1 while slice i is counted; random_raw,
-    # np.less and the sgemm release the GIL.  Leaving the with block joins it
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, slice_rows * n // 2)
-        for i in range(0, trials, slice_rows):
-            rows = min(slice_rows, trials - i)
-            raw = pending.result()
-            if i + rows < trials:
-                pending = helper.submit(draw, min(slice_rows, trials - i - rows) * n // 2)
-            # little-endian: the low half of each 64-bit word comes first
-            r = np.asarray(raw, "<u8").view("<u4").reshape(rows, n)
-            m = mask[:rows]
-            for k, cut in enumerate(cuts):
-                if cut < 2**32:
-                    np.less(r, cut, out=m)
-                else:  # float32(p) == 1: every word is below the cut
-                    m.fill(1.0)
-                np.matmul(m, limbs, out=sums[k, :rows])
-            yield np.ldexp((sums[:, :rows].astype(np.int64) << place).sum(axis=2).astype(float), -shift)
+    for i in range(0, trials, slice_rows):
+        rows = min(slice_rows, trials - i)
+        # little-endian: the low half of each 64-bit word comes first
+        r = np.asarray(draw(rows * n // 2), "<u8").view("<u4").reshape(rows, n)
+        m = mask[:rows]
+        for k, cut in enumerate(cuts):
+            if cut < 2**32:
+                np.less(r, cut, out=m)
+            else:  # float32(p) == 1: every word is below the cut
+                m.fill(1.0)
+            np.matmul(m, limbs, out=sums[k, :rows])
+        yield np.ldexp((sums[:, :rows].astype(np.int64) << place).sum(axis=2).astype(float), -shift)
 
 
 def interference_samples(
@@ -260,13 +254,14 @@ def empirical_coverage_curves(
     """Spatially averaged empirical coverage over the p grid ``p_list`` and
     the threshold grid ``theta_db`` (dB, or one threshold).
 
-    Node i of the quadrature draws from ``substream(seed, i)``; nodes run in
-    up to ``n_jobs`` worker processes, never more than the nodes or the
-    CPUs, with results identical to the serial order.  All p values share
+    Node i of the quadrature draws from ``substream(seed, i)``; nodes run on
+    up to two threads per job of ``n_jobs``, never more than the CPUs or the
+    nodes, each drawing and counting whole nodes, with results identical to
+    the serial order at any thread count.  All p values share
     every uniform draw and all thresholds share every realization, so
     comparisons across the grids are coupled.
     ``trunc`` replaces ``geometry.trunc`` for sampling (None keeps it).
-    Before any draw, a ``ValueError`` refuses a seed, trial count or worker
+    Before any draw, a ``ValueError`` refuses a seed, trial count or job
     count that is not an integer in range, naming the argument; a sampled
     lattice past 1447 rings (naming ``geometry.trunc``); and the sampled
     lattice's brute-force S(beta) and S(2 beta) at every node, by
@@ -289,12 +284,12 @@ def empirical_coverage_curves(
     moment_sums(sampled, (optical.beta, 2.0 * optical.beta), zx, zy, "brute")
     node = partial(_node_counts, sampled, optical.beta, p_list, trials_per_node, seed)
     columns = (range(zx.size), zx.tolist(), zy.tolist(), list(etas.T))
-    workers = min(n_jobs, zx.size, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(node, *columns, chunksize=1))
-    else:
-        counts = list(map(node, *columns))
+    # random_raw, np.less and the small sgemm release the GIL, and the counts
+    # are exact integers, so the nodes may run on any number of threads.  On
+    # an error, map cancels the nodes not started and leaving the with block
+    # joins every thread
+    with ThreadPoolExecutor(max_workers=min(2 * n_jobs, os.cpu_count() or 1, zx.size)) as pool:
+        counts = list(pool.map(node, *columns))
     phat = np.stack(counts) / float(trials_per_node)  # (nodes, p, theta)
     # quadrature weights sum to 1 only up to roundoff, so clip the average
     means = np.clip(np.einsum("i,ipt->pt", wq, phat), 0.0, 1.0)

@@ -3,13 +3,16 @@ leave a stale export behind, and every function the benchmark tracer wraps
 still exists. Every file the package writes goes through
 ``cli._write_output``, the shared refusals are formatted in ``model`` alone,
 ``model._or_inf`` alone reads a float overflow, argparse converts no flag
-value, and the tests' oracles import nothing from the package."""
+value, the tests' oracles import nothing from the package, and importing
+the command line loads no process-pool machinery."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -287,3 +290,16 @@ def test_no_flag_typed_by_argparse():
 
 def test_typed_flag_guard_sees():
     assert list(_typed_flags(ast.parse("sp.add_argument('--height', type=float, help='h')"))) == [1]
+
+
+def test_cli_import_loads_no_process_pool():
+    # Monte Carlo nodes run on threads; concurrent.futures.process and
+    # multiprocessing would add about 10 ms to every start
+    src = Path(attocell.__file__).resolve().parents[1]
+    unwanted = ("multiprocessing", "concurrent.futures.process")
+    code = f"import sys, attocell.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    child = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
+    )
+    assert child.stdout == "[]\n"

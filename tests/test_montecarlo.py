@@ -5,8 +5,8 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -285,12 +285,12 @@ class TestDraws:
             assert np.array_equal(counts[k], (c[:, None] < eta_row[None, :]).sum(axis=0))
 
     def test_slices_cut_to_small_gemm(self, small_geometry, monkeypatch):
-        # a slice whose product would pass _SMALL_GEMM is cut shorter; the
-        # words are read in the same order, so C is unchanged
+        # a slice whose product would pass half of _SMALL_GEMM is cut
+        # shorter; the words are read in the same order, so C is unchanged
         pos = (0.1, -0.05)
         w = interference_weights(small_geometry, BETA, pos)
         limb_count = _limbs(w)[0].shape[1]
-        monkeypatch.setattr(attocell.montecarlo, "_SMALL_GEMM", 7 * w.size * limb_count + 1)
+        monkeypatch.setattr(attocell.montecarlo, "_SMALL_GEMM", 2 * 7 * w.size * limb_count + 1)
         slices = [c for c, in _thinned_sums(substream(6, 1), w, (0.5,), 1100)]
         assert [c.size for c in slices] == [7] * 157 + [1]
         (want,) = _reference_sums(substream(6, 1), w, (0.5,), 1100, 64)
@@ -348,89 +348,86 @@ class TestDraws:
         assert np.array_equal(np.frombuffer(child.stdout, dtype=np.float64), here)
 
 
-def _threads_back_to(baseline, timeout=5.0):
-    """Whether ``threading.active_count()`` is back to ``baseline`` within
-    ``timeout`` seconds."""
-    deadline = time.monotonic() + timeout
-    while threading.active_count() > baseline:
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.01)
-    return True
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every thread pool ``empirical_coverage_curves`` makes."""
+    made = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(attocell.montecarlo, "ThreadPoolExecutor", RecordingPool)
+    return made
 
 
-class TestOverlappedDraws:
-    """One helper thread draws the next slice while the current one is
-    counted: the same words in the same order, and no thread left behind."""
+class TestNodeThreads:
+    """Whole quadrature nodes run on threads, each drawing and counting its
+    own stream: the counts of a serial loop at any thread count, and no
+    thread left behind."""
 
-    @pytest.fixture
-    def seven_row_slices(self, small_geometry, monkeypatch):
-        """Weights at one position, with ``_SMALL_GEMM`` cut so that slices
-        hold 7 trials: 1100 trials are 158 slices."""
-        w = interference_weights(small_geometry, BETA, (0.1, -0.05))
-        limb_count = _limbs(w)[0].shape[1]
-        monkeypatch.setattr(attocell.montecarlo, "_SMALL_GEMM", 7 * w.size * limb_count + 1)
-        return w
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_counts_match_serial_reference_under_frequent_switches(
+        self, optics, small_geometry, monkeypatch, pools, threads
+    ):
+        # one-row slices and a switch every microsecond interleave the
+        # threads' draws, compares and products as finely as they can be
+        monkeypatch.setattr(attocell.montecarlo, "_SMALL_GEMM", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)
+        got = {}
 
-    def test_closed_after_first_slice(self, seven_row_slices):
-        w = seven_row_slices
-        baseline = threading.active_count()
-        sums = _thinned_sums(substream(6, 1), w, (0.5,), 1100)
-        (first,) = next(sums)
-        # the helper is drawing, or has drawn, the second slice
-        assert threading.active_count() == baseline + 1
-        sums.close()
-        assert _threads_back_to(baseline)
-        (want,) = _reference_sums(substream(6, 1), w, (0.5,), 7, 7)
-        assert np.array_equal(first, want)
+        def recorded(*args):
+            # (geometry, beta, p_list, trials, seed, node_index, zx, zy, eta_row)
+            counts = _node_counts(*args)
+            got[args[5]] = (args[8], counts)
+            return counts
 
-    def test_draw_error_comes_out_of_the_generator(self, seven_row_slices):
-        class SecondDrawFails:
-            """A stream whose second ``random_raw`` call raises."""
-
-            def __init__(self, rng):
-                self.bit_generator = self
-                self.draw = rng.bit_generator.random_raw
-                self.calls = 0
-
-            def random_raw(self, size):
-                self.calls += 1
-                if self.calls == 2:
-                    raise RuntimeError("second draw failed")
-                return self.draw(size)
-
-        baseline = threading.active_count()
-        got = []
-        with pytest.raises(RuntimeError, match="^second draw failed$"):
-            for c in _thinned_sums(SecondDrawFails(substream(6, 1)), seven_row_slices, (0.5,), 1100):
-                got.append(c)
-        assert len(got) == 1
-        assert _threads_back_to(baseline)
-
-    def test_many_slices_under_frequent_switches_match_reference(self, seven_row_slices):
-        w = seven_row_slices
-        baseline = threading.active_count()
+        monkeypatch.setattr(attocell.montecarlo, "_node_counts", recorded)
+        p_list = (0.3, 0.5, 0.8)
+        grid = np.arange(-12.0, 0.0, 0.05)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rng = substream(9, 2)
-            slices = list(_thinned_sums(rng, w, P_GRID, 1100))
+            means, _, _ = empirical_coverage_curves(
+                optics, small_geometry, p_list, grid, seed=13, trials_per_node=600, quad_order=2, n_jobs=2
+            )
         finally:
             sys.setswitchinterval(interval)
-        assert len(slices) == 158
-        ref = substream(9, 2)
-        want = _reference_sums(ref, w, P_GRID, 1100, 64)
-        for k, c in enumerate(want):
-            assert np.array_equal(np.concatenate([s[k] for s in slices]), c)
-        # nothing was drawn past the last slice
-        assert rng.random() == ref.random()
-        assert _threads_back_to(baseline)
+        assert pools == [threads]
+        zx, zy, wq = attocell_quadrature(small_geometry, 2, use_symmetry=False)
+        assert sorted(got) == list(range(zx.size))
+        want = np.zeros((zx.size, len(p_list), grid.size), dtype=np.int64)
+        for i in range(zx.size):
+            eta_row, counts = got[i]
+            w = interference_weights(small_geometry, BETA, (zx[i], zy[i]))
+            for k, c in enumerate(_reference_sums(substream(13, i), w, p_list, 600, 64)):
+                want[i, k] = (c[:, None] < eta_row).sum(axis=0)
+            assert np.array_equal(counts, want[i])
+        assert np.array_equal(means, np.clip(np.einsum("i,ipt->pt", wq, want / 600.0), 0.0, 1.0))
 
-    def test_no_helper_alive_after_curves(self, optics, small_geometry):
-        # a helper alive at return could be forked into the next call's
-        # worker processes
+    def test_node_error_comes_out_of_curves(self, optics, small_geometry, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+        def node_one_fails(*args):
+            if args[5] == 1:  # node_index
+                raise RuntimeError("node 1 failed")
+            return _node_counts(*args)
+
+        monkeypatch.setattr(attocell.montecarlo, "_node_counts", node_one_fails)
         before = set(threading.enumerate())
-        empirical_coverage_curves(optics, small_geometry, (0.3, 0.8), [-6.0, 0.0], trials_per_node=300, quad_order=2)
+        with pytest.raises(RuntimeError, match="^node 1 failed$"):
+            empirical_coverage_curves(optics, small_geometry, (0.5,), [-6.0], trials_per_node=300, quad_order=2, n_jobs=2)
+        assert pools == [3]
+        assert set(threading.enumerate()) == before
+
+    def test_no_thread_alive_after_curves(self, optics, small_geometry, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        before = set(threading.enumerate())
+        empirical_coverage_curves(
+            optics, small_geometry, (0.3, 0.8), [-6.0, 0.0], trials_per_node=300, quad_order=2, n_jobs=2
+        )
+        assert pools == [4]
         assert set(threading.enumerate()) == before
 
 
@@ -612,40 +609,17 @@ class TestSpatial:
                     optics, small_geometry, (0.5,), theta_db=[0.0, bad], trials_per_node=1
                 )
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The max_workers of every pool made, by a fake that runs in process."""
-        made = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(attocell.montecarlo, "ProcessPoolExecutor", SerialPool)
-        return made
-
     def test_worker_pool_capped_at_node_count(self, optics, small_geometry, monkeypatch, pools):
-        # the pool forks all of its workers at the first submit, so more
-        # workers than quadrature nodes would only start idle processes
+        # threads past the quadrature nodes would only start idle
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         kwargs = dict(theta_db=[-8.0, -6.0], seed=7, trials_per_node=50, quad_order=2)
         pooled = empirical_coverage_curves(optics, small_geometry, (0.5,), n_jobs=500, **kwargs)
-        assert pools == [4]
         serial = empirical_coverage_curves(optics, small_geometry, (0.5,), **kwargs)
-        assert pools == [4]
+        assert pools == [4, 2]
         assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
 
-    # an unknown CPU count allows one worker: the nodes run in process
-    @pytest.mark.parametrize("cpus,made", [(3, [3]), (None, [])])
+    # an unknown CPU count allows one thread
+    @pytest.mark.parametrize("cpus,made", [(3, [3]), (None, [1])])
     def test_worker_pool_capped_at_cpu_count(self, optics, small_geometry, monkeypatch, pools, cpus, made):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         kwargs = dict(theta_db=[-8.0, -6.0], seed=7, trials_per_node=50, quad_order=2)
@@ -653,6 +627,14 @@ class TestSpatial:
         assert pools == made
         serial = empirical_coverage_curves(optics, small_geometry, (0.5,), **kwargs)
         assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
+
+    @pytest.mark.parametrize("jobs,made", [(1, [2]), (3, [6])])
+    def test_worker_pool_two_threads_per_job(self, optics, small_geometry, monkeypatch, pools, jobs, made):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        empirical_coverage_curves(
+            optics, small_geometry, (0.5,), [-6.0], seed=7, trials_per_node=50, quad_order=4, n_jobs=jobs
+        )
+        assert pools == made
 
 
 class TestCltDiagnostics:
