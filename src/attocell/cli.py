@@ -6,8 +6,8 @@ sweep      compute coverage curves for every (p, height, method) in the
            run configuration and write one CSV per curve plus a JSON
            manifest echoing the fully resolved configuration.
 sums       print the interference moment sums at one receiver position:
-           brute force vs closed form, relative errors, truncation tail
-           bounds and the per-mode series breakdown.
+           brute force vs closed form, relative errors and truncation tail
+           bounds.
 validate   run the Monte Carlo oracle against the analytic curves across
            the threshold grid and report the worst absolute deviation;
            fails (exit 2) if it exceeds the agreement budget.
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .coverage import CoverageCurve, coverage_curves, db_to_linear
-from .lattice_sums import moment_sums, series_mode_terms
+from .lattice_sums import moment_sums
 from .model import NetworkGeometry, OpticalConfig, TABLE_DEFAULT_OPTICS, _or_inf, position_xy, tail_bound
 from .montecarlo import _MAX_SAMPLED_TRUNC, ThinningModel, clt_diagnostics, empirical_coverage_curves
 from .specfun import gamma
@@ -519,14 +519,6 @@ def run_sums(cfg: RunConfig, pos: tuple[float, float], jl: tuple[int, int], heig
     for label, e, b, s in zip(("S_m", "S_v"), exponents, brute, series):
         rel = abs(s - b) / b
         lines.append(f"{label:<4} {_fmt(b):>24} {_fmt(s):>24} {rel:>10.2e} {tail_bound(geometry, e):>12.2e}")
-    for label, exponent in zip(("g_m", "g_v"), exponents):
-        lines += ["", f"{label} breakdown (weight 1/2 on axis modes; uniform value shown for reference):"]
-        for row in series_mode_terms(geometry, exponent, pos, jl=jl):
-            extra = (
-                f"  uniform={row['uniform_value']:+.6e}" if "uniform_value" in row else ""
-            )
-            lines.append(f"  {row['term']:<12} weight={row['weight']:<4g} "
-                         f"contribution={row['contribution']:+.6e}{extra}")
     print("\n".join(lines))
     return EXIT_OK
 

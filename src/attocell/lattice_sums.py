@@ -46,16 +46,14 @@ It is the one place that picks the evaluator:
   (0, f) have just two images and enter with weight 1/2.  Brute-force
   comparison confirms the halved axis weight to ~1e-10 relative, while a
   uniform weight of 1 misses by ~1e-5 (S_m) to ~6e-4 (S_v) at h/a = 3; see
-  VALIDATION.md.  ``series_mode_terms`` reports each mode's uniform-weight
-  value next to the weighted contribution, for diagnostics.  A negative
-  series value raises a ``ValueError`` naming the mode window: S(e) sums
-  positive terms, so the window is far too small there (a narrow beam or a
-  low mounting) and brute force is the remedy.
+  VALIDATION.md.  A negative series value raises a ``ValueError`` naming the
+  mode window: S(e) sums positive terms, so the window is far too small
+  there (a narrow beam or a low mounting) and brute force is the remedy.
 
 ``moment_sums`` refuses a sum of 0 or not finite by either evaluator (an
 overflow is inf, ``model._or_inf``), as the series' self term
 ``model._tagged_term`` does, with a ``ValueError`` naming ``geometry.height``
-(h far below or above the pitch); ``series_mode_terms`` refuses the same.
+(h far below or above the pitch).
 
 ``sm_brute`` / ``sv_brute`` and ``sm_series`` / ``sv_series`` are the
 per-position forms (exponent beta and 2 beta) returning a ``SumResult``.
@@ -83,7 +81,6 @@ __all__ = [
     "sv_brute",
     "sm_series",
     "sv_series",
-    "series_mode_terms",
 ]
 
 
@@ -127,16 +124,15 @@ def sv_brute(geometry: NetworkGeometry, beta: float, pos, trunc: int | None = No
     return sm_brute(geometry, 2.0 * _check_exponent(beta), pos, trunc)
 
 
-def _series_terms(geometry: NetworkGeometry, e: float, zx, zy, jl: tuple[int, int]):
-    """Yield (term, weight, value) for every term of the series, in summation
-    order: the integral term, the negated self term, then each dual mode in
-    the window with its g(w, f) as in the module docstring and its image
-    multiplicity relative to an interior mode as weight.  Values are scalars
-    or arrays, following zx and zy."""
+def _series_value(geometry: NetworkGeometry, exponent: float, zx, zy, jl: tuple[int, int]):
+    """Closed-form series; zx, zy may be scalars or equal-shape arrays.
+    The integral term less the self term, then each dual mode in the window
+    added in (w, f) row order: g(w, f) as in the module docstring times its
+    image multiplicity relative to an interior mode."""
+    e = float(exponent)
     a = geometry.pitch
     h = geometry.height
-    yield "integral", 1.0, math.pi * h ** (2.0 - 2.0 * e) / (a * a * (e - 1.0))
-    yield "self", 1.0, -_tagged_term(geometry, e, zx, zy)
+    value = math.pi * h ** (2.0 - 2.0 * e) / (a * a * (e - 1.0)) - _tagged_term(geometry, e, zx, zy)
     gamma_e = gamma(e)
     for w in range(jl[0] + 1):
         for f in range(jl[1] + 1):
@@ -151,23 +147,10 @@ def _series_terms(geometry: NetworkGeometry, e: float, zx, zy, jl: tuple[int, in
                 / math.pi
             )
             weight = 0.5 if (w == 0 or f == 0) else 1.0
-            yield f"mode({w},{f})", weight, radial * np.cos(2.0 * math.pi * w * zx / a) * np.cos(
-                2.0 * math.pi * f * zy / a
+            value = value + weight * (
+                radial * np.cos(2.0 * math.pi * w * zx / a) * np.cos(2.0 * math.pi * f * zy / a)
             )
-
-
-def _series_value(geometry: NetworkGeometry, exponent: float, zx, zy, jl: tuple[int, int]):
-    """Closed-form series; zx, zy may be scalars or equal-shape arrays.
-    Adding the negated self term to the integral term gives the same bits as
-    subtracting it."""
-    value = 0.0
-    for _, weight, g in _series_terms(geometry, float(exponent), zx, zy, jl):
-        value = value + weight * g
     return value
-
-
-def _check_jl(jl) -> tuple[int, int]:
-    return _check_integer(jl[0], "mode truncation j", 0), _check_integer(jl[1], "mode truncation l", 0)
 
 
 def moment_sums(
@@ -210,7 +193,7 @@ def moment_sums(
     for node in zip(zx.tolist(), zy.tolist()):
         position_xy(node)
     if sums == "series":
-        jl = _check_jl(jl)
+        jl = _check_integer(jl[0], "mode truncation j", 0), _check_integer(jl[1], "mode truncation l", 0)
         values = _or_inf(lambda: np.array([_series_value(geometry, e, zx, zy, jl) for e in exponents]))
     elif sums == "brute":
         for e in exponents:
@@ -255,26 +238,3 @@ def sv_series(
 ) -> SumResult:
     """Variance sum S_v: the ``sm_series`` closed form at exponent 2 beta."""
     return sm_series(geometry, 2.0 * _check_exponent(beta), pos, jl)
-
-
-def series_mode_terms(
-    geometry: NetworkGeometry,
-    exponent: float,
-    pos,
-    jl: tuple[int, int] = (1, 1),
-) -> list[dict]:
-    """Per-mode breakdown of the series for reporting.
-
-    Returns one entry per term: the integral and self terms, then each dual
-    mode with its multiplicity weight, the uniform-weight value it would
-    have contributed, and the weighted contribution actually used.
-    """
-    zx, zy = position_xy(pos)
-    moment_sums(geometry, (exponent,), zx, zy, "series", jl)  # for its refusals only
-    rows = []
-    for term, weight, g in _series_terms(geometry, _check_exponent(exponent), zx, zy, _check_jl(jl)):
-        row = {"term": term, "weight": weight, "contribution": float(weight * g)}
-        if term.startswith("mode"):
-            row["uniform_value"] = float(g)
-        rows.append(row)
-    return rows

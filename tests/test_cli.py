@@ -896,18 +896,20 @@ class TestSums:
         # trunc must be generous enough that the brute-force truncation gap
         # does not dominate the series comparison
         assert run_cli("sums", "--config", str(tiny_config), "--pos", "0,0", "--trunc", "80") == EXIT_OK
-        out = capsys.readouterr().out
-        assert "S_m" in out and "S_v" in out
-        assert "mode(1,1)" in out
-        for line in out.splitlines():
-            if line.startswith("S_m"):
-                rel = float(line.split()[3])
-                assert rel < 1e-6
+        lines = capsys.readouterr().out.splitlines()
+        # two header lines, a blank line, the column header and one row per sum
+        assert len(lines) == 6
+        assert lines[0].startswith("pitch a = ") and lines[1].startswith("position z = (0, 0) m")
+        assert lines[2] == ""
+        assert lines[3].split() == ["sum", "brute", "force", "series", "rel", "err", "tail", "bound"]
+        assert [line.split()[0] for line in lines[4:]] == ["S_m", "S_v"]
+        assert float(lines[4].split()[3]) < 1e-6
 
     def test_zero_mode_window(self, tiny_config, capsys):
         assert run_cli("sums", "--config", str(tiny_config), "--jl", "0,0") == EXIT_OK
-        out = capsys.readouterr().out
-        assert "mode(" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "modes j,l = 0,0" in lines[1]
+        assert [line.split()[0] for line in lines[4:]] == ["S_m", "S_v"]
 
     def test_outside_attocell_warns_but_proceeds(self, tiny_config, capsys):
         assert run_cli("sums", "--config", str(tiny_config), "--pos", "0.4,0.1") == EXIT_OK

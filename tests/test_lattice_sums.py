@@ -18,7 +18,7 @@ from attocell import (
     sv_series,
 )
 import attocell.lattice_sums
-from attocell.lattice_sums import SumResult, series_mode_terms
+from attocell.lattice_sums import SumResult
 from attocell.model import interference_weights, tail_bound
 from oracles import lattice_indices
 
@@ -136,9 +136,12 @@ class TestBruteForce:
 
 class TestSeries:
     def test_default_modes(self, geometry):
-        rows = series_mode_terms(geometry, 4.0, (0.0, 0.0))
-        modes = [r["term"] for r in rows if r["term"].startswith("mode")]
-        assert modes == ["mode(0,1)", "mode(1,0)", "mode(1,1)"]
+        # the default window is jl = (1, 1): modes (0,1), (1,0) and (1,1)
+        zx, zy = [0.13], [-0.07]
+        default = moment_sums(geometry, (4.0, 8.0), zx, zy)
+        assert default.tobytes() == moment_sums(geometry, (4.0, 8.0), zx, zy, jl=(1, 1)).tobytes()
+        for jl in ((1, 0), (0, 1)):
+            assert np.all(moment_sums(geometry, (4.0, 8.0), zx, zy, jl=jl) != default)
 
     @pytest.mark.parametrize("height", [1.5, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("pos", [(0.0, 0.0), (0.25, 0.25), (0.13, -0.07)])
@@ -148,18 +151,6 @@ class TestSeries:
             b = make_brute(geometry, 4.0, pos).value
             s = make_series(geometry, 4.0, pos).value
             assert s == pytest.approx(b, rel=1e-8)
-
-    def test_uniform_mode_weights_show_systematic_error(self, geometry):
-        # with every dual mode weighted as an interior mode the closed form
-        # overshoots measurably; the halved axis weight is what matches
-        b = sv_brute(geometry, 4.0, (0.0, 0.0)).value
-        corrected = sv_series(geometry, 4.0, (0.0, 0.0)).value
-        rows = series_mode_terms(geometry, 8.0, (0.0, 0.0))
-        uniform = sum(r.get("uniform_value", r["contribution"]) for r in rows)
-        assert sum(r["contribution"] for r in rows) == pytest.approx(corrected, rel=1e-14)
-        assert abs(corrected - b) / b < 1e-8
-        assert abs(uniform - b) / b > 1e-4
-        assert uniform > corrected
 
     def test_sv_is_sm_at_doubled_exponent(self, geometry):
         assert sv_series(geometry, 4.0, (0.2, -0.1)).value == sm_series(
@@ -172,10 +163,11 @@ class TestSeries:
         assert sm_series(geometry, 4.0, (0.18, -0.04)).value == pytest.approx(base, rel=1e-15)
 
     def test_cosine_part_is_periodic(self, geometry):
-        # only the dual-mode part is lattice periodic (the self term is not)
+        # only the dual-mode part is lattice periodic (the self term is not):
+        # the default window less the integral and self terms alone
         def mode_sum(pos):
-            rows = series_mode_terms(geometry, 4.0, pos)
-            return sum(r["contribution"] for r in rows if r["term"].startswith("mode"))
+            full, bare = (moment_sums(geometry, (4.0,), *pos, jl=jl)[0, 0] for jl in ((1, 1), (0, 0)))
+            return full - bare
 
         a = geometry.pitch
         for pos in ((0.05, 0.11), (0.21, -0.17)):
@@ -274,20 +266,16 @@ class TestSeries:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 moment_sums(low, (1.01,), [0.0], [0.0], "series")
-            with pytest.raises(ValueError, match=message):
-                series_mode_terms(low, 1.01, (0.0, 0.0))
 
     def test_mode_terms_outside_float_range_name_the_height(self):
-        # the integral term h^(2 - 2e) overflows: series_mode_terms raised a bare
-        # OverflowError where moment_sums refused the same window by name
+        # the integral term h^(2 - 2e) overflows: refused by name, not as a
+        # bare OverflowError
         low = NetworkGeometry(pitch=0.5, height=1e-100, trunc=5)
         message = r"^geometry\.height = 1e-100 puts the series sums S\(e\) outside the float range \(h/a = 2e-100\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 moment_sums(low, (4.0,), [0.0], [0.0], "series")
-            with pytest.raises(ValueError, match=message):
-                series_mode_terms(low, 4.0, (0.0, 0.0))
 
     def test_invalid_modes(self, geometry):
         for jl in [(-1, 1), (1.5, 1), (math.inf, 1), (math.nan, 1), (1, -2)]:
@@ -295,8 +283,6 @@ class TestSeries:
                 sm_series(geometry, 4.0, (0.0, 0.0), jl=jl)
             with pytest.raises(ValueError, match=r"^mode truncation [jl] must be an integer >= 0"):
                 moment_sums(geometry, (4.0,), [0.0], [0.0], jl=jl)
-            with pytest.raises(ValueError, match=r"^mode truncation [jl] must be an integer >= 0"):
-                series_mode_terms(geometry, 4.0, (0.0, 0.0), jl=jl)
 
 
 class TestMomentSums:
